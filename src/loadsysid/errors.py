@@ -57,6 +57,11 @@ class RiccatiError(ToolkitError):
     """Riccati solve failed or is ill-conditioned."""
 
 
+class UnstablePredictorError(RiccatiError):
+    """The Riccati gain leaves the predictor A - K C with spectral radius
+    at or above one."""
+
+
 class IdentificationError(ToolkitError):
     """All identification starts failed; carries per-start diagnostics."""
 

@@ -24,6 +24,7 @@ from loadsysid.errors import (
     IdentificationError,
     RiccatiError,
     ToolkitError,
+    UnstablePredictorError,
 )
 from loadsysid.motor import LoadParameters, emf_steady_state
 
@@ -142,7 +143,8 @@ class IdentResult:
     """Estimation outcome.  ``loss`` is the minimized criterion (Gaussian
     likelihood rate for the innovation predictor, quadratic output error
     for the baseline); ``quad_loss`` is always the mean squared innovation
-    norm at the estimate."""
+    norm at the estimate.  ``converged`` is the optimizer's success flag of
+    the start the estimate came from (``meta["chosen_start"]``)."""
 
     params: LoadParameters
     loss: float
@@ -315,7 +317,8 @@ def solve_dare(disc, noise, tol=1e-12, max_iter=120):
     ad_k = ad - kd @ cd
     rho = float(np.max(np.abs(np.linalg.eigvals(ad_k))))
     if rho >= 1.0:
-        raise RiccatiError(f"predictor spectral radius {rho:.6f} is not stable")
+        raise UnstablePredictorError(
+            f"predictor spectral radius {rho:.6f} is not stable")
     if np.min(np.linalg.eigvalsh(p)) < -1e-10 * max(1.0, np.linalg.norm(p)):
         raise RiccatiError("Riccati solution is not positive semidefinite")
     return InnovationPredictor(
@@ -345,11 +348,66 @@ def open_loop_predictor(disc):
     )
 
 
+# Samples per block of ``propagate``: long enough that the per-block Python
+# step is amortized, short enough that the block-Toeplitz matmul stays cheap.
+BLOCK = 32
+
+
+def propagate(a, b, c, d, w):
+    """Zero-state response of a discrete LTI system.
+
+    Returns the (N, ny) record y_k = C x_k + D w_k of x_{k+1} = A x_k + B w_k,
+    x_0 = 0, driven by the (N, nw) record ``w``.  The record is cut into
+    blocks of L samples.  Inside a block the forced response is one matmul
+    with the block-Toeplitz matrix of the Markov parameters D, CB, CAB, ...;
+    the block-start states s_j follow s_{j+1} = A^L s_j + (reachability
+    matrix) w_j in a loop of N/L steps, and their free response C A^i s_j is
+    one more matmul.
+    """
+    w = np.asarray(w, dtype=float)
+    n, nw = w.shape
+    nx, ny = a.shape[0], c.shape[0]
+    if n == 0:
+        return np.empty((0, ny))
+    blk = min(BLOCK, n)
+    nb = -(-n // blk)
+    # A^0 .. A^L by doubling.
+    powers = np.empty((blk + 1, nx, nx))
+    powers[0] = np.eye(nx)
+    done = 1
+    while done <= blk:
+        step = min(done, blk + 1 - done)
+        powers[done:done + step] = powers[:step] @ (powers[done - 1] @ a)
+        done += step
+    obs = c @ powers[:blk]                       # C A^i, (L, ny, nx)
+    markov = np.concatenate([d[None], obs[:-1] @ b])  # D, CB, CAB, ...
+    lag = np.subtract.outer(np.arange(blk), np.arange(blk))
+    toeplitz = np.where((lag >= 0)[:, :, None, None],
+                        markov[np.maximum(lag, 0)], 0.0)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(blk * ny, blk * nw)
+    reach = (powers[blk - 1::-1] @ b).transpose(1, 0, 2).reshape(nx, blk * nw)
+
+    wb = np.zeros((nb * blk, nw))
+    wb[:n] = w
+    wb = wb.reshape(nb, blk * nw)
+    out = wb @ toeplitz.T
+    drive = wb @ reach.T
+    a_blk = powers[blk]
+    starts = np.zeros((nb, nx))
+    for j in range(nb - 1):
+        starts[j + 1] = a_blk @ starts[j] + drive[j]
+    out += starts @ obs.reshape(blk * ny, nx).T
+    return out.reshape(nb * blk, ny)[:n]
+
+
 def predict(pred, disc, u, y=None, ts=None):
     """One-step-ahead predictions and innovations from zero initial state.
 
     ``u`` and ``y`` are (N, 2) arrays of input and output deltas; ``u`` may
     also be a detrended MeasurementSeries, in which case both are extracted.
+    The predictor is one ``propagate`` call on A - K C with the inputs
+    [u, y] and, under first-order hold, the input increment u(k+1) - u(k)
+    (zero on the last sample) through the ramp matrix.
     """
     if hasattr(u, "deltas"):
         series = u
@@ -363,31 +421,32 @@ def predict(pred, disc, u, y=None, ts=None):
         )
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(u)
     ramp = disc.bd_ramp if disc is not None else None
-    x = np.zeros(pred.ad_k.shape[0])
-    yhat = np.empty((n, 2))
-    for k in range(n):
-        yhat[k] = pred.cd @ x + pred.dd @ u[k]
-        x = pred.ad_k @ x + pred.bd_k @ u[k] + pred.kd @ y[k]
-        if ramp is not None:
-            du = (u[k + 1] - u[k]) if k + 1 < n else np.zeros_like(u[k])
-            x = x + ramp @ du
+    b = [pred.bd_k, pred.kd]
+    w = [u, y]
+    if ramp is not None:
+        du = np.zeros_like(u)
+        du[:-1] = np.diff(u, axis=0)
+        b.append(ramp)
+        w.append(du)
+    d = np.zeros((pred.dd.shape[0], sum(m.shape[1] for m in b)))
+    d[:, :u.shape[1]] = pred.dd
+    yhat = propagate(pred.ad_k, np.hstack(b), pred.cd, d, np.hstack(w))
     return yhat, y - yhat
 
 
-def simulate_discrete(disc, u, e=None, v=None, x0=None):
-    """Propagate the discrete stochastic model; returns the output record."""
+def simulate_discrete(disc, u, e=None, v=None):
+    """Propagate the discrete stochastic model from zero state; returns the
+    output record."""
     u = np.asarray(u, dtype=float)
-    n = len(u)
-    x = np.zeros(disc.ad.shape[0]) if x0 is None else np.asarray(x0, float)
-    y = np.empty((n, disc.cd.shape[0]))
-    for k in range(n):
-        ek = e[k] if e is not None else np.zeros(disc.gd.shape[1])
-        y[k] = disc.cd @ x + disc.dd @ u[k] + disc.hd @ ek
-        if v is not None:
-            y[k] += v[k]
-        x = disc.ad @ x + disc.bd @ u[k] + disc.gd @ ek
+    if e is None:
+        y = propagate(disc.ad, disc.bd, disc.cd, disc.dd, u)
+    else:
+        y = propagate(disc.ad, np.hstack([disc.bd, disc.gd]), disc.cd,
+                      np.hstack([disc.dd, disc.hd]),
+                      np.hstack([u, np.asarray(e, dtype=float)]))
+    if v is not None:
+        y = y + v
     return y
 
 
@@ -535,7 +594,7 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
         starts.append(draw)
 
     initial_loss = objective(starts[0])
-    best_fun, best_x, best_ok = penalty, None, False
+    best_fun, best_x, best_ok, best_start = penalty, None, False, None
     start_reports = []
     trace = []
     for i, x0 in enumerate(starts):
@@ -566,6 +625,7 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
             )
             if ok and run_fun < best_fun:
                 best_fun, best_x, best_ok = run_fun, run_x, bool(res.success)
+                best_start = i
                 trace = local_trace
         except (ToolkitError, np.linalg.LinAlgError) as exc:
             start_reports.append({"start": i, "loss": None, "ok": False,
@@ -588,7 +648,8 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
         for name, xv, (lo_s, hi_s) in zip(free, x_best, x_bounds)
         if xv - lo_s < 1e-6 * (hi_s - lo_s) or hi_s - xv < 1e-6 * (hi_s - lo_s)
     ]
-    fit = dict(zip(("p", "q"), fit_percent(y[burn_in:], yhat[burn_in:])))
+    fit = {ch: float(v) for ch, v
+           in zip(("p", "q"), fit_percent(y[burn_in:], yhat[burn_in:]))}
     return IdentResult(
         params=p_est,
         loss=final_crit,
@@ -596,7 +657,7 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
         quad_loss=final_quad,
         trace=trace,
         fit=fit,
-        converged=bool(best_ok or final_crit <= initial_loss),
+        converged=best_ok,
         at_bound=at_bound,
         method=method,
         starts=start_reports,
@@ -605,6 +666,7 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
             "free": list(free),
             "tie_emf": tie_emf,
             "n_eval": eval_count[0],
+            "chosen_start": best_start,
             "burn_in": burn_in,
             "channel": noise.channel,
             "v0": v0,

@@ -20,7 +20,7 @@ from loadsysid.diagnostics import (
     persistent_excitation_order,
     pitfall_metrics,
 )
-from loadsysid.errors import ConfigError, ToolkitError
+from loadsysid.errors import ConfigError, ToolkitError, UnstablePredictorError
 from loadsysid.greybox import (
     NoiseConfig,
     evaluate_candidate,
@@ -126,7 +126,8 @@ def run_diagnose(cfg, out_dir, series, system):
         f"persistent_excitation_order > {pe.verified_order - 1}: "
         f"verified {pe.verified_order}",
         f"informative = {info.informative} "
-        f"(min eig ratio {info.eig_ratio.min()!r}, floor {info.floor!r})",
+        f"(min eig ratio {float(info.eig_ratio.min())!r}, "
+        f"floor {info.floor!r})",
         f"loop_consistency_nrmse = {pit.cw_nrmse!r}",
         f"load_response_nrmse = {pit.cw_nrmse_load!r}",
         "regression target = "
@@ -225,8 +226,14 @@ def run_identify(cfg, out_dir, series, system, method):
         f"fit_q_percent = {result.fit['q']!r}",
         f"at_bound = {','.join(result.at_bound) if result.at_bound else '-'}",
         f"seed = {cfg.seed}",
-        "parameters (true vs estimated):",
+        "starts:",
     ]
+    lines += [f"  start {s['start']}: nit = {s.get('nit', '-')}  "
+              f"status = {str(s['status']).strip()}"
+              + ("  (chosen)" if s["start"] == result.meta["chosen_start"]
+                 else "")
+              for s in result.starts]
+    lines += ["parameters (true vs estimated):"]
     lines += [_param_line(n, getattr(truth, n), getattr(est, n))
               for n in PARAM_NAMES]
     tio.write_report(out / f"ident_{method}.txt", lines)
@@ -252,8 +259,9 @@ def run_identify(cfg, out_dir, series, system, method):
     return result
 
 
-def validation_loss(cfg, system, result, method, seed_offset=7000):
-    """Quadratic prediction loss of a fitted model on a held-out record."""
+def validation_record(cfg, system, seed_offset=7000):
+    """Detrended analysis window of the held-out record: the configured
+    scenario with every noise seed shifted by ``seed_offset``."""
     case, pf, eq = system
     scenario = cfg.scenario
     val_scenario = replace(
@@ -265,16 +273,26 @@ def validation_loss(cfg, system, result, method, seed_offset=7000):
         measurement_seed=scenario.measurement_seed + seed_offset,
     )
     series = simulate(case, eq, val_scenario)
-    win = detrend(series.window(*cfg.analysis_window))
+    return detrend(series.window(*cfg.analysis_window))
+
+
+def validation_loss(cfg, system, result, method, record=None):
+    """Quadratic prediction loss of a fitted model on the held-out record
+    (``validation_record``, simulated here unless given).  A model whose
+    predictor is unstable on that record scores ``math.inf``."""
+    win = record if record is not None else validation_record(cfg, system)
     u = np.column_stack([win.delta("v"), win.delta("theta")])
     y = np.column_stack([win.delta("p"), win.delta("q")])
     params = replace(result.params, V0=float(win.means[0]),
                      theta0=float(win.means[1]))
     noise = _noise_for(cfg, method)
-    _, quad, _, _, _ = evaluate_candidate(
-        params, noise, u, y, win.ts, cfg.ident_burn_in,
-        output_error=(method == "tm"),
-    )
+    try:
+        _, quad, _, _, _ = evaluate_candidate(
+            params, noise, u, y, win.ts, cfg.ident_burn_in,
+            output_error=(method == "tm"),
+        )
+    except UnstablePredictorError:
+        return math.inf
     return quad
 
 
@@ -292,7 +310,12 @@ def run_reproduce(cfg, out_dir):
         for method in METHODS:
             stage = f"identify:{method}"
             results[method] = run_identify(cfg, out, series, system, method)
-            val[method] = validation_loss(cfg, system, results[method], method)
+        stage = "simulate:validation"
+        held_out = validation_record(cfg, system)
+        for method in METHODS:
+            stage = f"identify:{method}:validation"
+            val[method] = validation_loss(cfg, system, results[method],
+                                          method, record=held_out)
     except ToolkitError as exc:
         raise ToolkitError(f"stage {stage} failed: {exc}") from exc
 
@@ -306,7 +329,9 @@ def run_reproduce(cfg, out_dir):
         lines.append("")
         lines.append(f"[{method}]  criterion={r.loss!r}  "
                      f"fit_p={r.fit['p']:.2f}%  fit_q={r.fit['q']:.2f}%  "
-                     f"validation_quad_loss={val[method]!r}")
+                     f"validation_quad_loss={val[method]!r}"
+                     + ("  (unstable predictor)"
+                        if math.isinf(val[method]) else ""))
         lines += ["  " + _param_line(n, getattr(truth, n),
                                      getattr(r.params, n))
                   for n in PARAM_NAMES]

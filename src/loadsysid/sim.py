@@ -26,6 +26,7 @@ from loadsysid.errors import (
     SimulationError,
     ToolkitError,
 )
+from loadsysid.greybox import propagate
 from loadsysid.motor import (
     LoadParameters,
     emf_steady_state,
@@ -252,7 +253,7 @@ def init_equilibrium(case, pf, motor_spec):
         slack_gen_bus=slack_bus,
         tm=float(tm),
         exy0=exy0,
-        remainder_shunt=y_rem,
+        remainder_shunt=complex(y_rem),
         y_dyn=y,
         v_eq=v_eq,
     )
@@ -467,8 +468,9 @@ def zoh_discretize(a, b, ts):
     return phi[:nx, :nx], phi[:nx, nx:]
 
 
-def linear_response(model, disturbance, ts, x0=None):
-    """Exact ZOH propagation; returns the (N, ny) delta-output record."""
+def linear_response(model, disturbance, ts):
+    """Exact ZOH propagation from the equilibrium; returns the (N, ny)
+    delta-output record."""
     d = np.atleast_2d(np.asarray(disturbance, dtype=float))
     if d.shape[0] < d.shape[1] and d.shape[0] == model.b.shape[1]:
         d = d.T
@@ -477,13 +479,7 @@ def linear_response(model, disturbance, ts, x0=None):
             f"disturbance has {d.shape[1]} channels, model expects {model.b.shape[1]}"
         )
     ad, bd = zoh_discretize(model.a, model.b, ts)
-    n = d.shape[0]
-    x = np.zeros(model.a.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
-    out = np.empty((n, model.c.shape[0]))
-    for k in range(n):
-        out[k] = model.c @ x + model.d @ d[k]
-        x = ad @ x + bd @ d[k]
-    return out
+    return propagate(ad, bd, model.c, model.d, d)
 
 
 def simulate_linear(model, disturbance, ts, eq):
@@ -636,6 +632,6 @@ def simulate(case, eq, scenario):
         "seed_internal": scenario.internal.seed if scenario.internal else None,
         "seed_external": scenario.external.seed if scenario.external else None,
         "measurement_variance": tuple(np.broadcast_to(
-            np.asarray(scenario.measurement_variance, float), (4,))),
+            np.asarray(scenario.measurement_variance, float), (4,)).tolist()),
     }
     return MeasurementSeries(ts=scenario.dt_sample, time=time, data=data, meta=meta)

@@ -271,11 +271,8 @@ def test_criterion_06_discretization_oracles(wscc_eq):
 def test_criterion_07_parameter_recovery(wscc_eq, pem_a_results):
     truth = wscc_eq.params
     passes = 0
-    worst_time = 0.0
     for seed in SEEDS:
-        t0 = time.time()
         res = pem_a_results[seed]
-        worst_time = max(worst_time, time.time() - t0)
         ok = all(
             abs(getattr(res.params, n) / getattr(truth, n) - 1.0) < TOLS[n]
             for n in PARAMS

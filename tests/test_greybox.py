@@ -20,10 +20,13 @@ from loadsysid.greybox import (
     noise_channel_matrices,
     open_loop_predictor,
     predict,
+    propagate,
     simulate_discrete,
     solve_dare,
 )
 from loadsysid.motor import LoadParameters
+
+from loops import predict_loop, propagate_loop, simulate_discrete_loop
 
 
 def _params(**kw):
@@ -326,6 +329,66 @@ def test_innovations_white_on_matched_synthetic_data():
         assert inside >= 18
 
 
+def _rel_dev(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31),
+       st.one_of(st.floats(0.0, 0.99), st.floats(0.99, 0.9999)),
+       st.integers(min_value=1, max_value=700))
+def test_propagate_matches_loop_oracle(seed, radius, n):
+    rng = np.random.default_rng(seed)
+    nx, nw, ny = (int(v) for v in rng.integers(1, 9, size=3))
+    a = rng.standard_normal((nx, nx))
+    a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.standard_normal((nx, nw))
+    c = rng.standard_normal((ny, nx))
+    d = rng.standard_normal((ny, nw))
+    w = rng.standard_normal((n, nw))
+    got = propagate(a, b, c, d, w)
+    assert got.shape == (n, ny)
+    assert _rel_dev(got, propagate_loop(a, b, c, d, w)) < 1e-12
+
+
+def test_propagate_empty_record():
+    out = propagate(np.eye(3), np.ones((3, 2)), np.ones((2, 3)),
+                    np.ones((2, 2)), np.empty((0, 2)))
+    assert out.shape == (0, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_predictor_and_simulation_match_loop_oracles(seed):
+    rng = np.random.default_rng(seed)
+    truth = _params()
+    draw = {
+        "X": truth.X * rng.uniform(0.2, 5),
+        "Td0p": truth.Td0p * rng.uniform(0.2, 5),
+        "Tj": truth.Tj * rng.uniform(0.2, 5),
+        "s0": float(np.clip(truth.s0 * rng.uniform(0.2, 5), 1e-4, 0.5)),
+    }
+    draw["Xp"] = min(truth.Xp * rng.uniform(0.2, 5), draw["X"] * 0.9)
+    noise = NoiseConfig()
+    cont = assemble_continuous(replace(truth, **draw), noise)
+    disc = discretize_zoh(cont, 0.01, input_hold="foh")
+    n = 450
+    u = 1e-3 * rng.standard_normal((n, 2))
+    e = rng.standard_normal((n, 1))
+    v = 1e-4 * rng.standard_normal((n, 2))
+    y = simulate_discrete(disc, u, e=e, v=v)
+    assert _rel_dev(y, simulate_discrete_loop(disc, u, e=e, v=v)) < 1e-12
+    try:
+        pred = solve_dare(disc, noise)
+    except RiccatiError:
+        pred = open_loop_predictor(disc)
+    for hold in (disc, replace(disc, bd_ramp=None)):
+        yhat, eps = predict(pred, hold, u, y)
+        yhat_ref, eps_ref = predict_loop(pred, hold, u, y)
+        assert _rel_dev(yhat, yhat_ref) < 1e-12
+        assert np.max(np.abs(eps - eps_ref)) <= 1e-12 * np.max(np.abs(y))
+
+
 # ----------------------------------------------------------------------- loss
 
 def test_loss_trivial_values():
@@ -424,6 +487,19 @@ def test_identify_objective_never_worsens():
     res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
                    n_restarts=1, burn_in=0)
     assert res.loss <= res.initial_loss + 1e-15
+
+
+def test_converged_is_the_chosen_starts_optimizer_status():
+    truth = _params()
+    win = _noise_free_series(truth, seed=5)
+    init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
+    res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
+                   n_restarts=1, burn_in=0, maxiter=1)
+    # One iteration improves the criterion but stops at the iteration limit.
+    assert res.loss < res.initial_loss
+    assert res.meta["chosen_start"] == 0
+    assert res.starts[0]["nit"] == 1
+    assert not res.converged
 
 
 def test_identify_failure_reports_diagnostics():

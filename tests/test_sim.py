@@ -19,6 +19,7 @@ from loadsysid.sim import (
 from loadsysid.constants import OMEGA_S
 
 from conftest import TRUE_MOTOR
+from loops import linear_response_loop
 
 
 def test_equilibrium_matches_reference_values(wscc_eq):
@@ -179,6 +180,15 @@ def test_linear_response_superposition(wscc_case, wscc_eq):
     assert np.max(np.abs(r12 - (r1 + r2))) < 1e-12
     assert np.max(np.abs(linear_response(model, 3.0 * d1, 0.01) - 3.0 * r1)) < 1e-12
     assert np.max(np.abs(linear_response(model, 0.0 * d1, 0.01))) == 0.0
+
+
+@pytest.mark.parametrize("ts, n", [(0.01, 2000), (0.0005, 10000)])
+def test_linear_response_matches_loop_oracle(wscc_case, wscc_eq, ts, n):
+    model = linearize_system(wscc_case, wscc_eq, disturbance_bus=8)
+    d = 1e-3 * np.random.default_rng(1).standard_normal((n, 2))
+    got = linear_response(model, d, ts)
+    want = linear_response_loop(model, d, ts)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_simulate_linear_series_wrapper(wscc_case, wscc_eq):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid import io as tio
-from loadsysid.cli import EXIT_CONFIG, main
+from loadsysid.cli import EXIT_CONFIG, EXIT_OK, main
 from loadsysid.config import default_config_text, load_config
 from loadsysid.errors import ConfigError
 from loadsysid.pipeline import build_system, make_init, run_diagnose, run_simulate
@@ -236,3 +237,50 @@ motor.s0 = 0.01
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "measurement.csv").is_file()
+
+
+def test_package_import_leaves_out_scipy_signal():
+    # scipy.signal costs about 0.7 s and 25 MiB at import, paid by every run.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, loadsysid.pipeline, loadsysid.cli, loadsysid.freq; "
+         "print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_pins_blas_threads_unless_set():
+    script = ("import os; os.environ['OMP_NUM_THREADS'] = '2'; "
+              "import loadsysid.cli; "
+              "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+              "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2", "1"]
+
+
+def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
+    # Criterion 12's configuration (6 s record, one start).  On seed 8 the
+    # pem-b estimate's predictor is unstable on the held-out record.
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(default_config_text() + """
+scenario.duration = 6.0
+scenario.internal.end = 6.0
+analysis.end = 6.0
+ident.restarts = 1
+""")
+    out = tmp_path / "out"
+    rc = main(["reproduce", "--config", str(cfg_path), "--seed", "8",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert "validation_quad_loss=inf  (unstable predictor)" in summary
+    # Report numbers are plain Python numbers, not numpy scalar reprs.
+    for path in out.iterdir():
+        assert "np." not in path.read_text(), path.name
