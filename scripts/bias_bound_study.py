@@ -17,65 +17,77 @@ from loadsysid.diagnostics import bias_bound
 from loadsysid.freq import FrequencyResponse
 
 
+# Plant, loop and noise of the study: a first-order plant g0/(z - a0)
+# under proportional feedback kappa, an AR(c0) internal disturbance of
+# variance l1, sensor noise h2 * e2 with var(e2) = l2, and a reference of
+# standard deviation sd through the same AR filter.
+A0, G0, C0 = 0.7, 0.5, 0.8
+KAPPA, L1, L2, H2, SD = 0.5, 1.0, 4.0, 0.1, 10.0
+BURN = 1000   # samples dropped from the start of each record
+ORDER = 50    # FIR order of the fitted model
+
+
+def simulate_loop(seed, n):
+    """Input and measured output of one closed-loop record of ``n``
+    samples, the first ``BURN`` of them dropped."""
+    rng = np.random.default_rng(seed)
+    e1 = math.sqrt(L1) * rng.standard_normal(n)
+    e2 = math.sqrt(L2) * rng.standard_normal(n)
+    d = SD * rng.standard_normal(n)
+    y_meas = np.zeros(n)
+    u = np.zeros(n)
+    x = w1 = wd = y_prev = 0.0
+    for k in range(n):
+        u[k] = KAPPA * (wd - y_prev)
+        w1 = C0 * w1 + e1[k]
+        y_plant = x + w1
+        y_meas[k] = y_plant + H2 * e2[k]
+        x = A0 * x + G0 * u[k]
+        wd = C0 * wd + d[k]
+        y_prev = y_plant
+    return u[BURN:], y_meas[BURN:]
+
+
+def fir_fit(u, y, m=ORDER):
+    """Least-squares FIR coefficients b_0 .. b_m of y on u."""
+    rows = len(u) - m
+    xmat = np.zeros((rows, m + 1))
+    for i in range(m + 1):
+        xmat[:, i] = u[m - i:len(u) - i]
+    coef, *_ = np.linalg.lstsq(xmat, y[m:], rcond=None)
+    return coef
+
+
 def run(n=60000, n_mc=6, seed0=100):
-    a0, g0, c0 = 0.7, 0.5, 0.8
-    kappa, l1, l2, h2, sd = 0.5, 1.0, 4.0, 0.1, 10.0
-    burn, m = 1000, 50
-
-    def simulate_loop(seed):
-        rng = np.random.default_rng(seed)
-        e1 = math.sqrt(l1) * rng.standard_normal(n)
-        e2 = math.sqrt(l2) * rng.standard_normal(n)
-        d = sd * rng.standard_normal(n)
-        y_meas = np.zeros(n)
-        u = np.zeros(n)
-        x = w1 = wd = y_prev = 0.0
-        for k in range(n):
-            u[k] = kappa * (wd - y_prev)
-            w1 = c0 * w1 + e1[k]
-            y_plant = x + w1
-            y_meas[k] = y_plant + h2 * e2[k]
-            x = a0 * x + g0 * u[k]
-            wd = c0 * wd + d[k]
-            y_prev = y_plant
-        return u[burn:], y_meas[burn:]
-
-    def fir_fit(u, y):
-        rows = len(u) - m
-        xmat = np.zeros((rows, m + 1))
-        for i in range(m + 1):
-            xmat[:, i] = u[m - i:len(u) - i]
-        coef, *_ = np.linalg.lstsq(xmat, y[m:], rcond=None)
-        return coef
-
-    coefs = np.mean([fir_fit(*simulate_loop(seed0 + s)) for s in range(n_mc)],
-                    axis=0)
+    coefs = np.mean([fir_fit(*simulate_loop(seed0 + s, n))
+                     for s in range(n_mc)], axis=0)
 
     nf = 200
     om = np.linspace(0.02, math.pi * 0.98, nf)
     z = np.exp(1j * om)
-    g_true = g0 / (z - a0)
-    h1 = z / (z - c0)
-    s_fun = 1.0 / (1.0 + kappa * g_true / z)
-    t_e = -kappa * (1.0 / z) * h1 * s_fun
-    phi_u = np.abs(t_e) ** 2 * (l1 + sd**2)
-    phi_ue = np.abs(t_e) ** 2 * l1
+    g_true = G0 / (z - A0)
+    h1 = z / (z - C0)
+    s_fun = 1.0 / (1.0 + KAPPA * g_true / z)
+    t_e = -KAPPA * (1.0 / z) * h1 * s_fun
+    phi_u = np.abs(t_e) ** 2 * (L1 + SD**2)
+    phi_ue = np.abs(t_e) ** 2 * L1
 
-    h0 = FrequencyResponse(om, np.stack([h1, np.full(nf, h2 + 0j)],
+    h0 = FrequencyResponse(om, np.stack([h1, np.full(nf, H2 + 0j)],
                                         axis=-1)[:, None, :])
     htheta = FrequencyResponse(om, np.stack(
         [np.ones(nf, complex), np.zeros(nf, complex)], axis=-1)[:, None, :])
-    _, bound = bias_bound(h0, htheta, np.diag([l1, l2]),
+    _, bound = bias_bound(h0, htheta, np.diag([L1, L2]),
                           (om, phi_u[:, None, None].astype(complex)),
                           (om, phi_ue[:, None, None].astype(complex)))
 
-    ghat = np.array([np.sum(coefs * zz ** (-np.arange(m + 1))) for zz in z])
+    ghat = np.array([np.sum(coefs * zz ** (-np.arange(ORDER + 1)))
+                     for zz in z])
     emp = np.abs(ghat - g_true)
 
     phi_y = (np.abs(g_true) ** 2 * phi_u
-             + 2 * np.real(g_true * (h1 * l1 * np.conj(t_e)))
-             + np.abs(h1) ** 2 * l1 + h2**2 * l2)
-    phi_yu = g_true * phi_u + h1 * l1 * np.conj(t_e)
+             + 2 * np.real(g_true * (h1 * L1 * np.conj(t_e)))
+             + np.abs(h1) ** 2 * L1 + H2**2 * L2)
+    phi_yu = g_true * phi_u + h1 * L1 * np.conj(t_e)
     coh = np.abs(phi_yu) ** 2 / (phi_y * phi_u)
     mask = coh > 0.9
 

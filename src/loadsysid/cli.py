@@ -83,6 +83,22 @@ def _seed_range(spec):
     return range(lo, hi + 1)
 
 
+def _failure(exc, stage):
+    """Exit code and message label of a failure: by its type, else by the
+    pipeline stage it came from."""
+    if isinstance(exc, ConfigError):
+        return EXIT_CONFIG, "config error"
+    if isinstance(exc, SimulationError):
+        return EXIT_SIMULATION, "simulation error"
+    if isinstance(exc, IdentificationError):
+        return EXIT_IDENT, "identification failure"
+    if stage.startswith("simulate"):
+        return EXIT_SIMULATION, "error"
+    if stage.startswith("identify"):
+        return EXIT_IDENT, "error"
+    return EXIT_CONFIG, "error"
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
@@ -103,23 +119,12 @@ def main(argv=None):
                 _batch_reproduce(args, out)
             else:
                 pipeline.run_reproduce(cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except IdentificationError as exc:
-        print(f"identification failure: {exc}", file=sys.stderr)
-        return EXIT_IDENT
     except ToolkitError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if "simulate" in message:
-            return EXIT_SIMULATION
-        if "identify" in message:
-            return EXIT_IDENT
-        return EXIT_CONFIG
+        stage = getattr(exc, "stage", "")
+        code, label = _failure(exc, stage)
+        where = f"stage {stage} failed: " if stage else ""
+        print(f"{label}: {where}{exc}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

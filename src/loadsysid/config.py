@@ -7,15 +7,17 @@ fails before any pipeline stage runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.resources import files as _pkg_files
 from pathlib import Path
 
 from loadsysid.errors import ConfigError
+from loadsysid.greybox import FREE_ALL
 from loadsysid.motor import MotorSpec
 from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
 
-IDENT_CHANNELS = ("torque", "emf-wrong")
+# Parameters an ``explicit:`` initial guess sets, in order.
+EXPLICIT_INIT = ("X", "Xp", "Td0p", "Tj", "s0")
 
 
 @dataclass
@@ -30,9 +32,7 @@ class ExperimentConfig:
     info_segment: int = 32
     pe_order_max: int = 60
     pad_factor: int = 4
-    ident_channel: str = "torque"
     ident_init: str = "perturbed:30"
-    ident_bounds_scale: float = 10.0
     ident_restarts: int = 2
     ident_burn_in: int = 50
     ident_q: float = 0.002
@@ -41,7 +41,6 @@ class ExperimentConfig:
     ident_maxiter: int = 300
     seed: int = 1
     out_dir: str = "out"
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_kv(text):
@@ -68,6 +67,26 @@ def _get(values, key, cast, default=None, required=False):
         return cast(values[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({exc})") from exc
+
+
+def parse_init(mode):
+    """Split an ``ident.init`` value into its mode and value: ("truth",
+    None), ("perturbed", percent) or ("explicit", {name: value})."""
+    if mode == "truth":
+        return "truth", None
+    kind, _, arg = mode.partition(":")
+    try:
+        if kind == "perturbed":
+            return "perturbed", float(arg)
+        if kind == "explicit":
+            values = [float(v) for v in arg.split(",")]
+            if len(values) == len(EXPLICIT_INIT):
+                return "explicit", dict(zip(EXPLICIT_INIT, values))
+    except ValueError:
+        pass
+    raise ConfigError(f"bad ident.init mode {mode!r}: expected truth, "
+                      f"perturbed:<percent> or explicit:"
+                      f"{','.join(EXPLICIT_INIT)}")
 
 
 def resolve_case(name_or_path, base_dir=None):
@@ -153,19 +172,16 @@ def load_config(text, base_dir=None, seed_override=None):
              internal.start if internal else 0.0),
         _get(values, "analysis.end", float, duration),
     )
-    channel = _get(values, "ident.channel", str, "torque")
-    if channel not in IDENT_CHANNELS:
-        raise ConfigError(
-            f"ident.channel must be one of {IDENT_CHANNELS}, got {channel!r}"
-        )
     init_mode = _get(values, "ident.init", str, "perturbed:30")
-    if init_mode != "truth" and not init_mode.startswith(("perturbed:",
-                                                          "explicit:")):
-        raise ConfigError(f"bad ident.init mode {init_mode!r}")
+    parse_init(init_mode)
     free = tuple(
         s.strip() for s in _get(values, "ident.free", str,
                                 "X,Xp,Td0p,Tj,s0").split(",") if s.strip()
     )
+    unknown = [name for name in free if name not in FREE_ALL]
+    if unknown:
+        raise ConfigError(f"ident.free names unknown parameters {unknown}; "
+                          f"choose from {FREE_ALL}")
     cfg = ExperimentConfig(
         case_path=case_path,
         case_text=case_text,
@@ -177,9 +193,7 @@ def load_config(text, base_dir=None, seed_override=None):
         info_segment=_get(values, "diagnostics.info_segment", int, 32),
         pe_order_max=_get(values, "diagnostics.pe_order_max", int, 60),
         pad_factor=_get(values, "diagnostics.pad_factor", int, 4),
-        ident_channel=channel,
         ident_init=init_mode,
-        ident_bounds_scale=_get(values, "ident.bounds_scale", float, 10.0),
         ident_restarts=_get(values, "ident.restarts", int, 2),
         ident_burn_in=_get(values, "ident.burn_in", int, 50),
         ident_q=_get(values, "ident.q", float, 0.002),
@@ -188,7 +202,6 @@ def load_config(text, base_dir=None, seed_override=None):
         ident_maxiter=_get(values, "ident.maxiter", int, 300),
         seed=seed,
         out_dir=_get(values, "out", str, "out"),
-        raw=values,
     )
     return cfg
 

@@ -45,12 +45,6 @@ class FrequencyResponse:
         if not np.all(np.isfinite(self.values)):
             raise ToolkitError("non-finite frequency response value")
 
-    def at(self, omega):
-        idx = int(np.argmin(np.abs(self.omega - omega)))
-        if abs(self.omega[idx] - omega) > 1e-9 * max(1.0, abs(omega)):
-            raise ToolkitError(f"frequency {omega} not on the grid")
-        return self.values[idx]
-
     def interp(self, omega):
         """Entrywise linear interpolation onto a new grid."""
         omega = np.asarray(omega, dtype=float)

@@ -35,7 +35,7 @@ from loadsysid.motor import LoadParameters, emf_steady_state
 FREE_DEFAULT = ("X", "Xp", "Td0p", "Tj", "s0")
 FREE_ALL = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0", "Pz", "Qz")
 
-NOISE_CHANNELS = ("torque", "emf-wrong", "custom")
+NOISE_CHANNELS = ("torque", "emf-wrong")
 
 
 @dataclass
@@ -78,18 +78,15 @@ class NoiseConfig:
 
     ``channel`` selects the pattern of the disturbance input: "torque"
     enters the slip equation scaled by 1/Tj, "emf-wrong" enters the EMF-y
-    equation scaled by 1/T'd0 (a deliberately misplaced channel), "custom"
-    uses explicitly supplied G and H.  ``rm`` is a conditioning floor for
+    equation scaled by 1/T'd0 (a deliberately misplaced channel).  Neither
+    has a feedthrough to the outputs.  ``rm`` is a conditioning floor for
     the measurement covariance; it is kept far below the innovation
     variances so it does not distort their relative weighting.
     """
 
     q: np.ndarray = field(default_factory=lambda: np.array([[0.002]]))
     rm: np.ndarray = field(default_factory=lambda: 1e-10 * np.eye(2))
-    ncross: np.ndarray | None = None
     channel: str = "torque"
-    g_custom: np.ndarray | None = None
-    h_custom: np.ndarray | None = None
     # Measurement-noise variances of the two input channels (dV, dtheta).
     # Input noise reaches the state through Bd and the outputs through Dd;
     # the gain solver folds both paths into the noise model, so noised
@@ -103,9 +100,6 @@ class NoiseConfig:
             np.asarray(self.input_variance, dtype=float), (2,)))
         if any(v < 0 for v in self.input_variance):
             raise ToolkitError("input variances must be non-negative")
-        if self.ncross is None:
-            self.ncross = np.zeros((self.q.shape[0], self.rm.shape[0]))
-        self.ncross = np.atleast_2d(np.asarray(self.ncross, dtype=float))
         if self.channel not in NOISE_CHANNELS:
             raise ToolkitError(f"unknown noise channel {self.channel!r}")
         for m, name in ((self.q, "q"), (self.rm, "rm")):
@@ -113,9 +107,6 @@ class NoiseConfig:
                 raise ToolkitError(f"{name} must be symmetric")
             if np.min(np.linalg.eigvalsh(m)) < -1e-12:
                 raise ToolkitError(f"{name} must be positive semidefinite")
-        stacked = np.block([[self.q, self.ncross], [self.ncross.T, self.rm]])
-        if np.min(np.linalg.eigvalsh(stacked)) < -1e-10:
-            raise ToolkitError("stacked noise covariance must be PSD")
 
     @property
     def m(self):
@@ -158,29 +149,19 @@ class IdentResult:
     starts: list
     seed: int | None = None
     meta: dict = field(default_factory=dict)
+    # One-step predictions of (dP, dQ) at the estimate over the whole record.
+    predictions: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
 
 def noise_channel_matrices(noise, params):
     """Disturbance input pattern G (3xm) and feedthrough H (2xm)."""
-    m = noise.m
+    g = np.zeros((3, noise.m))
     if noise.channel == "torque":
-        g = np.zeros((3, m))
         g[2, 0] = 1.0 / params.Tj
-        h = np.zeros((2, m))
-    elif noise.channel == "emf-wrong":
-        g = np.zeros((3, m))
-        g[1, 0] = 1.0 / params.Td0p
-        h = np.zeros((2, m))
     else:
-        if noise.g_custom is None:
-            raise ToolkitError("custom channel requires g_custom")
-        g = np.atleast_2d(np.asarray(noise.g_custom, dtype=float))
-        h = (
-            np.zeros((2, m))
-            if noise.h_custom is None
-            else np.atleast_2d(np.asarray(noise.h_custom, dtype=float))
-        )
-    return g, h
+        g[1, 0] = 1.0 / params.Td0p
+    return g, np.zeros((2, noise.m))
 
 
 def assemble_continuous(params, noise):
@@ -217,27 +198,35 @@ def assemble_continuous(params, noise):
     return GreyBoxContinuous(a=a, b=b, c=c, d=d, g=g, h=h)
 
 
+def van_loan(a, ts):
+    """Exact hold weights of x' = A x + f(t) over one period ``ts``.
+
+    Returns e^{A ts}, W0 = int_0^ts e^{A(ts-s)} ds and W1s = int_0^ts
+    e^{A(ts-s)} s ds from one exponential of a triple block matrix (Van
+    Loan, IEEE TAC 1978), all robust to singular A.  A held input f adds
+    W0 f to the state; an input ramping from f0 to f1 adds
+    (W0 - W1s/ts) f0 + (W1s/ts) f1.
+    """
+    if ts <= 0:
+        raise ToolkitError(f"sample period must be positive, got {ts}")
+    nx = a.shape[0]
+    eye = np.eye(nx)
+    m = np.zeros((3 * nx, 3 * nx))
+    m[:nx, :nx] = a * ts
+    m[:nx, nx:2 * nx] = eye * ts
+    m[nx:2 * nx, 2 * nx:] = eye * ts
+    phi = expm(m)
+    return phi[:nx, :nx], phi[:nx, nx:2 * nx], phi[:nx, 2 * nx:]
+
+
 def discretize_zoh(cont, ts, input_hold="zoh"):
-    """Exact zero-order-hold discretization via the augmented exponential.
+    """Exact zero-order-hold discretization (``van_loan``).
 
     With ``input_hold="foh"`` the deterministic input path additionally gets
     the first-order-hold ramp matrix (``bd_ramp``); the disturbance path is
     always zero-order hold, matching how the disturbance is realized.
     """
-    if ts <= 0:
-        raise ToolkitError(f"sample period must be positive, got {ts}")
-    nx = cont.a.shape[0]
-    eye = np.eye(nx)
-    # Van Loan triple block: exp gives e^{A ts}, W0 = int e^{A(ts-s)} ds and
-    # W1s = int e^{A(ts-s)} s ds, all robust to singular A.
-    m = np.zeros((3 * nx, 3 * nx))
-    m[:nx, :nx] = cont.a * ts
-    m[:nx, nx:2 * nx] = eye * ts
-    m[nx:2 * nx, 2 * nx:] = eye * ts
-    phi = expm(m)
-    ad = phi[:nx, :nx]
-    w0 = phi[:nx, nx:2 * nx]
-    w1s = phi[:nx, 2 * nx:]
+    ad, w0, w1s = van_loan(cont.a, ts)
     bd_ramp = None
     if input_hold == "foh":
         bd_ramp = (w1s / ts) @ cont.b
@@ -266,12 +255,13 @@ def solve_dare(disc, noise, tol=1e-12, max_iter=120):
     """Stabilizing solution of the steady-state Riccati equation.
 
     Uses the structure-preserving doubling iteration after absorbing the
-    cross covariance, then forms the steady-state Kalman gain.
+    cross covariance of the disturbance feedthrough, then forms the
+    steady-state Kalman gain.
     """
     ad, cd, gd, hd = disc.ad, disc.cd, disc.gd, disc.hd
-    q, rm, ncr = noise.q, noise.rm, noise.ncross
-    nbar = gd @ (q @ hd.T + ncr)
-    rbar = rm + hd @ ncr + ncr.T @ hd.T + hd @ q @ hd.T
+    q, rm = noise.q, noise.rm
+    nbar = gd @ q @ hd.T
+    rbar = rm + hd @ q @ hd.T
     qbar = gd @ q @ gd.T
     if any(v > 0 for v in noise.input_variance):
         siu = np.diag(noise.input_variance)
@@ -496,8 +486,7 @@ def gaussian_criterion(eps, pred, noise):
     return float(np.mean(np.einsum("ki,ij,kj->k", e, s_inv, e)) + logdet)
 
 
-def evaluate_candidate(params, noise, u, y, ts, burn_in, output_error=False,
-                       input_hold="foh"):
+def evaluate_candidate(params, noise, u, y, ts, burn_in, output_error=False):
     """Assemble, discretize, solve the gain and run the predictor once.
 
     Returns (criterion, quadratic loss, predictions, innovations,
@@ -506,7 +495,7 @@ def evaluate_candidate(params, noise, u, y, ts, burn_in, output_error=False,
     baseline, which has no stochastic model.
     """
     cont = assemble_continuous(params, noise)
-    disc = discretize_zoh(cont, ts, input_hold=input_hold)
+    disc = discretize_zoh(cont, ts, input_hold="foh")
     pred = open_loop_predictor(disc) if output_error else solve_dare(disc, noise)
     yhat, eps = predict(pred, disc, u, y)
     quad = loss(eps[burn_in:])
@@ -527,8 +516,15 @@ def _default_bounds(init, free):
     return bounds
 
 
-def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
-                   burn_in, seed, maxiter):
+def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
+             n_restarts=2, burn_in=50, seed=0, maxiter=300, method="pem-a"):
+    """Prediction-error estimate of the free load parameters.
+
+    Each candidate re-runs the full assemble / discretize / gain / predict
+    chain; the best of the multi-start local searches is returned.  With
+    ``method="tm"`` the gain is forced to zero: the output-error baseline.
+    ``bounds`` overrides ``_default_bounds`` per parameter.
+    """
     u, y, v0, theta0 = _series_arrays(series)
     ts = series.ts
     init = replace(init, V0=v0, theta0=theta0)
@@ -662,6 +658,7 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
         method=method,
         starts=start_reports,
         seed=seed,
+        predictions=yhat,
         meta={
             "free": list(free),
             "tie_emf": tie_emf,
@@ -675,21 +672,6 @@ def _identify_impl(series, init, bounds, noise, free, method, n_restarts,
     )
 
 
-def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
-             n_restarts=2, burn_in=50, seed=0, maxiter=300, method="pem-a"):
-    """Prediction-error estimate of the free load parameters.
-
-    Each candidate re-runs the full assemble / discretize / gain / predict
-    chain; the best of the multi-start local searches is returned.
-    """
-    return _identify_impl(series, init, bounds, noise, free, method,
-                          n_restarts, burn_in, seed, maxiter)
-
-
-def identify_output_error(series, init, bounds=None, noise=None,
-                          free=FREE_DEFAULT, n_restarts=2, burn_in=50,
-                          seed=0, maxiter=300):
-    """Output-error baseline: identical search with the gain forced to zero."""
-    noise = noise if noise is not None else NoiseConfig()
-    return _identify_impl(series, init, bounds, noise, free, "tm",
-                          n_restarts, burn_in, seed, maxiter)
+def identify_output_error(series, init, **kwargs):
+    """Output-error baseline: ``identify`` with the gain forced to zero."""
+    return identify(series, init, method="tm", **kwargs)

@@ -14,9 +14,8 @@ constant-impedance part (Pz, Qz at V0) may ride along with the motor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from loadsysid.constants import OMEGA_S
@@ -58,9 +57,6 @@ class LoadParameters:
             raise CaseValidationError(f"slip must lie in (0, 1), got {self.s0}")
         if self.V0 <= 0:
             raise CaseValidationError("operating voltage must be positive")
-
-    def with_operating_point(self, v0, theta0):
-        return replace(self, V0=float(v0), theta0=float(theta0))
 
 
 @dataclass(frozen=True)
@@ -130,9 +126,3 @@ def solve_slip_for_power(X, Xp, Td0p, p_target, v):
         xtol=1e-14,
         rtol=1e-15,
     )
-
-
-def static_pq(Pz, Qz, V0, vm):
-    """Constant-impedance part evaluated at voltage magnitude vm."""
-    ratio = (vm / V0) ** 2
-    return Pz * ratio, Qz * ratio

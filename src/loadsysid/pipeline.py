@@ -20,14 +20,9 @@ from loadsysid.diagnostics import (
     persistent_excitation_order,
     pitfall_metrics,
 )
+from loadsysid.config import parse_init
 from loadsysid.errors import ConfigError, ToolkitError, UnstablePredictorError
-from loadsysid.greybox import (
-    NoiseConfig,
-    evaluate_candidate,
-    identify,
-    identify_output_error,
-)
-from loadsysid.motor import LoadParameters
+from loadsysid.greybox import NoiseConfig, evaluate_candidate, identify
 from loadsysid.network import load_case, solve_power_flow
 from loadsysid.series import detrend
 from loadsysid.sim import init_equilibrium, linearize_system, simulate
@@ -142,11 +137,11 @@ def run_diagnose(cfg, out_dir, series, system):
 
 def make_init(cfg, truth, seed):
     """Initial parameter vector per the configured init mode."""
-    mode = cfg.ident_init
+    mode, value = parse_init(cfg.ident_init)
     if mode == "truth":
         return truth
-    if mode.startswith("perturbed:"):
-        frac = float(mode.split(":", 1)[1]) / 100.0
+    if mode == "perturbed":
+        frac = value / 100.0
         rng = np.random.default_rng(seed + 20000)
         vals = {}
         for name in ("X", "Xp", "Td0p", "Tj", "s0"):
@@ -154,13 +149,7 @@ def make_init(cfg, truth, seed):
         if vals["Xp"] >= vals["X"]:
             vals["Xp"] = vals["X"] / 3.0
         return replace(truth, **vals)
-    if mode.startswith("explicit:"):
-        parts = mode.split(":", 1)[1].split(",")
-        if len(parts) != 5:
-            raise ConfigError("explicit init needs X,Xp,Td0p,Tj,s0")
-        x, xp, td, tj, s0 = (float(p) for p in parts)
-        return replace(truth, X=x, Xp=xp, Td0p=td, Tj=tj, s0=s0)
-    raise ConfigError(f"bad ident.init mode {mode!r}")
+    return replace(truth, **value)
 
 
 def _noise_for(cfg, method):
@@ -176,19 +165,6 @@ def _noise_for(cfg, method):
     )
 
 
-def _bounds_for(cfg, init):
-    scale = cfg.ident_bounds_scale
-    bounds = {}
-    for name in cfg.ident_free:
-        p0 = getattr(init, name)
-        if name == "s0":
-            bounds[name] = (1e-4, 0.5)
-        else:
-            lo, hi = sorted((p0 / scale, p0 * scale))
-            bounds[name] = (lo, hi)
-    return bounds
-
-
 def run_identify(cfg, out_dir, series, system, method):
     """One identification method on a simulated record, with reports."""
     if method not in METHODS:
@@ -200,19 +176,10 @@ def run_identify(cfg, out_dir, series, system, method):
     win = detrend(series.window(*cfg.analysis_window))
     init = make_init(cfg, truth, cfg.seed)
     noise = _noise_for(cfg, method)
-    kwargs = dict(
-        bounds=_bounds_for(cfg, init),
-        noise=noise,
-        free=cfg.ident_free,
-        n_restarts=cfg.ident_restarts,
-        burn_in=cfg.ident_burn_in,
-        seed=cfg.seed,
-        maxiter=cfg.ident_maxiter,
-    )
-    if method == "tm":
-        result = identify_output_error(win, init, **kwargs)
-    else:
-        result = identify(win, init, method=method, **kwargs)
+    result = identify(win, init, noise=noise, free=cfg.ident_free,
+                      n_restarts=cfg.ident_restarts,
+                      burn_in=cfg.ident_burn_in, seed=cfg.seed,
+                      maxiter=cfg.ident_maxiter, method=method)
 
     est = result.params
     lines = [
@@ -243,13 +210,8 @@ def run_identify(cfg, out_dir, series, system, method):
         list(enumerate(result.trace)),
     )
 
-    u = np.column_stack([win.delta("v"), win.delta("theta")])
     y = np.column_stack([win.delta("p"), win.delta("q")])
-    _, _, yhat, _, _ = evaluate_candidate(
-        replace(est, V0=float(win.means[0]), theta0=float(win.means[1])),
-        noise, u, y, win.ts, cfg.ident_burn_in,
-        output_error=(method == "tm"),
-    )
+    yhat = result.predictions
     tio.write_table(
         out / f"fit_{method}.csv",
         ["time", "dp_meas", "dp_pred", "dq_meas", "dq_pred"],
@@ -297,7 +259,11 @@ def validation_loss(cfg, system, result, method, record=None):
 
 
 def run_reproduce(cfg, out_dir):
-    """Full pipeline: simulate, diagnose, identify with all three methods."""
+    """Full pipeline: simulate, diagnose, identify with all three methods.
+
+    A failure propagates with its own type and a ``stage`` attribute naming
+    the stage it came from (``simulate``, ``diagnose``, ``identify:<method>``,
+    ``simulate:validation`` or ``identify:<method>:validation``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = "simulate"
@@ -317,7 +283,8 @@ def run_reproduce(cfg, out_dir):
             val[method] = validation_loss(cfg, system, results[method],
                                           method, record=held_out)
     except ToolkitError as exc:
-        raise ToolkitError(f"stage {stage} failed: {exc}") from exc
+        exc.stage = stage
+        raise
 
     case, pf, eq = system
     truth = eq.params

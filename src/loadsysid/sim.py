@@ -26,10 +26,9 @@ from loadsysid.errors import (
     SimulationError,
     ToolkitError,
 )
-from loadsysid.greybox import propagate
+from loadsysid.greybox import propagate, van_loan
 from loadsysid.motor import (
     LoadParameters,
-    emf_steady_state,
     motor_pq,
     solve_slip_for_power,
 )
@@ -458,16 +457,6 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     )
 
 
-def zoh_discretize(a, b, ts):
-    """Exact zero-order-hold discretization via the augmented exponential."""
-    nx, nu = a.shape[0], b.shape[1]
-    m = np.zeros((nx + nu, nx + nu))
-    m[:nx, :nx] = a * ts
-    m[:nx, nx:] = b * ts
-    phi = expm(m)
-    return phi[:nx, :nx], phi[:nx, nx:]
-
-
 def linear_response(model, disturbance, ts):
     """Exact ZOH propagation from the equilibrium; returns the (N, ny)
     delta-output record."""
@@ -478,8 +467,8 @@ def linear_response(model, disturbance, ts):
         raise ToolkitError(
             f"disturbance has {d.shape[1]} channels, model expects {model.b.shape[1]}"
         )
-    ad, bd = zoh_discretize(model.a, model.b, ts)
-    return propagate(ad, bd, model.c, model.d, d)
+    ad, w0, _ = van_loan(model.a, ts)
+    return propagate(ad, w0 @ model.b, model.c, model.d, d)
 
 
 def simulate_linear(model, disturbance, ts, eq):

@@ -7,7 +7,7 @@ the tests compare the block kernel against them.
 
 import numpy as np
 
-from loadsysid.sim import zoh_discretize
+from loadsysid.greybox import van_loan
 
 
 def propagate_loop(a, b, c, d, w):
@@ -56,7 +56,8 @@ def simulate_discrete_loop(disc, u, e=None, v=None):
 def linear_response_loop(model, disturbance, ts):
     """Exact ZOH propagation of a linearized model, one sample at a time."""
     d = np.asarray(disturbance, dtype=float)
-    ad, bd = zoh_discretize(model.a, model.b, ts)
+    ad, w0, _ = van_loan(model.a, ts)
+    bd = w0 @ model.b
     x = np.zeros(model.a.shape[0])
     out = np.empty((len(d), model.c.shape[0]))
     for k in range(len(d)):

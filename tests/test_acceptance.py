@@ -4,9 +4,11 @@ Each test prints one pass line; the heavyweight multi-seed identification
 studies share session-scoped simulated records.
 """
 
+import importlib.util
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,43 +340,30 @@ def test_criterion_10_fit_ordering(pem_a_results, pem_b_results, tm_results):
             f"output-error ({ft['p']:.1f}%, {ft['q']:.1f}%)")
 
 
+def _bias_bound_study():
+    """scripts/bias_bound_study.py, loaded by path: scripts/ is no package."""
+    path = Path(__file__).resolve().parents[1] / "scripts"
+    spec = importlib.util.spec_from_file_location(
+        "bias_bound_study", path / "bias_bound_study.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_criterion_11_bias_bound():
     # Scalar closed loop with a two-component disturbance: an AR torque-like
     # noise inside the loop and white sensor noise outside it; the reference
     # enters through the same filter so the asymptotic bias is causal and
     # the rich FIR class contains it.
-    a0, g0, c0 = 0.7, 0.5, 0.8
-    kappa, l1, l2, h2, sd = 0.5, 1.0, 4.0, 0.1, 10.0
-    n, burn, n_mc, m = 60000, 1000, 6, 50
+    # The loop, the disturbances and the FIR fit are the ones of
+    # scripts/bias_bound_study.py.
+    study = _bias_bound_study()
+    a0, g0, c0 = study.A0, study.G0, study.C0
+    kappa, l1, l2, h2, sd = study.KAPPA, study.L1, study.L2, study.H2, study.SD
+    n, n_mc, m = 60000, 6, study.ORDER
 
-    def simulate_loop(seed):
-        rng = np.random.default_rng(seed)
-        e1 = math.sqrt(l1) * rng.standard_normal(n)
-        e2 = math.sqrt(l2) * rng.standard_normal(n)
-        d = sd * rng.standard_normal(n)
-        y_meas = np.zeros(n)
-        u = np.zeros(n)
-        x = w1 = wd = y_prev = 0.0
-        for k in range(n):
-            u[k] = kappa * (wd - y_prev)
-            w1 = c0 * w1 + e1[k]
-            y_plant = x + w1
-            y_meas[k] = y_plant + h2 * e2[k]
-            x = a0 * x + g0 * u[k]
-            wd = c0 * wd + d[k]
-            y_prev = y_plant
-        return u[burn:], y_meas[burn:]
-
-    def fir_fit(u, y):
-        rows = len(u) - m
-        xmat = np.zeros((rows, m + 1))
-        for i in range(m + 1):
-            xmat[:, i] = u[m - i:len(u) - i]
-        coef, *_ = np.linalg.lstsq(xmat, y[m:], rcond=None)
-        return coef
-
-    coefs = np.mean([fir_fit(*simulate_loop(100 + s)) for s in range(n_mc)],
-                    axis=0)
+    coefs = np.mean([study.fir_fit(*study.simulate_loop(100 + s, n))
+                     for s in range(n_mc)], axis=0)
 
     nf = 200
     om = np.linspace(0.02, math.pi * 0.98, nf)

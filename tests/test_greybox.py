@@ -241,7 +241,7 @@ def test_dare_against_fixed_point_iteration():
     disc = discretize_zoh(cont, 0.01)
     noise = NoiseConfig()
     pred = solve_dare(disc, noise)
-    nbar = disc.gd @ (noise.q @ disc.hd.T + noise.ncross)
+    nbar = disc.gd @ noise.q @ disc.hd.T
     rbar = noise.rm.copy()
     qbar = disc.gd @ noise.q @ disc.gd.T
     p = np.eye(3)
