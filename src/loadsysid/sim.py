@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
@@ -545,12 +545,9 @@ def simulate(case, eq, scenario):
         direction_deg=scenario.external.direction_deg if scenario.external else 0.0,
     )
     jac = model.a
-    nx = jac.shape[0]
-    e_h = expm(jac * dt)
-    w0 = np.linalg.solve(jac, e_h - np.eye(nx))
-    w1 = np.linalg.solve(jac, dt * e_h - w0)
-    phi_a = w1 / dt            # weight of the remainder at the step start
-    phi_b = w0 - w1 / dt       # weight at the step end
+    e_h, w0, w1s = van_loan(jac, dt)
+    phi_b = w1s / dt           # weight of the remainder at the step end
+    phi_a = w0 - phi_b         # weight at the step start
 
     z_eq = eq.equilibrium_state()
     idx = case.bus_index()
