@@ -8,24 +8,12 @@ failure, 5 acceptance violation in check mode.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-# One BLAS thread unless the caller set the variables: the thread count
-# changes the last bits of the simulator's linear solves and with them the
-# optimizer path, so reruns are byte-identical only at a fixed setting.
-# Must run before numpy is first imported (through pipeline).
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from loadsysid import pipeline  # noqa: E402
-from loadsysid.config import (  # noqa: E402
-    default_config_text,
-    load_config,
-    load_config_file,
-)
-from loadsysid.errors import (  # noqa: E402
+from loadsysid import pipeline
+from loadsysid.config import default_config_text, load_config, load_config_file
+from loadsysid.errors import (
     ConfigError,
     IdentificationError,
     SimulationError,

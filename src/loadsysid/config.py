@@ -19,6 +19,25 @@ from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
 # Parameters an ``explicit:`` initial guess sets, in order.
 EXPLICIT_INIT = ("X", "Xp", "Td0p", "Tj", "s0")
 
+# Every key a configuration may set, read or not: a window's keys stay
+# valid while its variance is zero.
+KNOWN_KEYS = frozenset(
+    ["case", "seed", "out", "analysis.start", "analysis.end"]
+    + [f"scenario.{k}" for k in ("duration", "ts", "dt_integration")]
+    + [f"scenario.internal.{k}" for k in ("variance", "start", "end", "hold")]
+    + [f"scenario.external.{k}" for k in (
+        "variance", "start", "end", "hold", "seed_offset", "bus",
+        "direction_deg")]
+    + [f"scenario.measurement.{k}" for k in (
+        "v", "theta", "p", "q", "seed_offset")]
+    + [f"diagnostics.{k}" for k in (
+        "band_low_hz", "band_high_hz", "segment", "info_segment",
+        "pe_order_max", "pad_factor")]
+    + [f"motor.{k}" for k in ("X", "Xp", "Td0p", "Tj", "s0")]
+    + [f"ident.{k}" for k in (
+        "init", "restarts", "burn_in", "q", "rm", "free", "maxiter")]
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -105,6 +124,9 @@ def resolve_case(name_or_path, base_dir=None):
 
 def load_config(text, base_dir=None, seed_override=None):
     values = _parse_kv(text)
+    unknown = sorted(set(values) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown configuration keys {unknown}")
     seed = seed_override if seed_override is not None else _get(
         values, "seed", int, 1)
 

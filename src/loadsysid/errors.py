@@ -37,10 +37,6 @@ class SimulationError(ToolkitError):
         self.t = t
 
 
-class LinearizationError(ToolkitError):
-    """Degenerate algebraic structure prevents linearization."""
-
-
 class FrequencyDomainError(ToolkitError):
     """Singular elimination or evaluation at a named frequency."""
 

@@ -33,7 +33,7 @@ from loadsysid.motor import LoadParameters, emf_steady_state
 # freed; untying it opens a flat escape direction in which the optimizer
 # shrinks the deterministic path and inflates the noise gain.
 FREE_DEFAULT = ("X", "Xp", "Td0p", "Tj", "s0")
-FREE_ALL = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0", "Pz", "Qz")
+FREE_ALL = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
 
@@ -285,7 +285,6 @@ def solve_dare(disc, noise, tol=1e-12, max_iter=120):
     for _ in range(max_iter):
         try:
             w_inv_a = np.linalg.solve(eye + g_k @ h_k, a_k)
-            wt_inv_a = np.linalg.solve(eye + h_k @ g_k, a_k)
         except np.linalg.LinAlgError as exc:
             raise RiccatiError(f"doubling iteration broke down: {exc}") from exc
         h_next = h_k + a_k.T @ np.linalg.solve(eye + h_k @ g_k, h_k @ a_k)
@@ -540,8 +539,10 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
     x_bounds = []
     for j, name in enumerate(free):
         lo, hi = bnd[name]
-        lo_s, hi_s = sorted((lo / scale[j], hi / scale[j]))
-        x_bounds.append((lo_s, hi_s))
+        x_bounds.append(tuple(sorted((lo / scale[j], hi / scale[j]))))
+    pinned = [name for name, (lo_s, hi_s) in zip(free, x_bounds) if hi_s <= lo_s]
+    if pinned:
+        raise ToolkitError(f"free parameters {pinned} have zero-width bounds")
 
     penalty = 1e6
     tie_emf = "Exp0" not in free and "Eyp0" not in free

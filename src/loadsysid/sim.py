@@ -7,32 +7,29 @@ is held as an infinite bus, which pins the angle reference and makes every
 mode of the bundled case strictly stable.  The motor contributes the three
 states of the third-order load model.  The network is algebraic and, with
 motor and generator reactances folded into the admittance matrix, linear in
-the bus voltages, so each right-hand-side evaluation is a single sparse-free
-linear solve against a prefactored matrix.
+the bus voltages.  The dynamics read only the voltages at the dynamic
+generators and the motor, so the network is reduced once per equilibrium to
+the rows of its inverse at those buses (a Kron reduction); each
+right-hand-side evaluation and the linearization then take the voltages
+from that map with a few vector operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from loadsysid.constants import OMEGA_S
-from loadsysid.errors import (
-    EquilibriumError,
-    LinearizationError,
-    SimulationError,
-    ToolkitError,
-)
+from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
 from loadsysid.greybox import propagate, van_loan
 from loadsysid.motor import (
     LoadParameters,
     motor_pq,
     solve_slip_for_power,
 )
-from loadsysid.network import build_admittance, expand_real
+from loadsysid.network import build_admittance
 from loadsysid.series import MeasurementSeries
 
 
@@ -98,14 +95,38 @@ class Scenario:
         return int(round(self.dt_sample / self.dt_integration))
 
 
+@dataclass(frozen=True)
+class ReducedNetwork:
+    """The network as the dynamics read it: the rows of ``y_dyn``'s inverse
+    at the read buses (the dynamic generators in case order, then the
+    motor), split by the sources that drive them, plus the dynamic
+    generators' constants as arrays.
+
+    The read-bus voltages are ``v_slack + z_gen @ (e_gen * exp(j delta))
+    + z_mot * E' + z[:, k] * xi`` for a current ``xi`` injected at bus
+    index ``k``.
+    """
+
+    z: np.ndarray                     # complex (n_read, n): rows of y_dyn^-1
+    v_slack: np.ndarray               # complex (n_read,): slack EMF's part
+    z_gen: np.ndarray                 # complex (n_read, n_gen): per EMF phasor
+    z_mot: np.ndarray                 # complex (n_read,): per motor EMF phasor
+    e_gen: np.ndarray                 # dynamic generators' EMF magnitudes
+    xdp: np.ndarray
+    tj: np.ndarray
+    damping: np.ndarray
+    pm: np.ndarray                    # mechanical powers
+
+
 @dataclass
 class SystemEquilibrium:
     """Operating point of the full dynamic model.
 
-    Holds everything the simulator and linearizer need: the constant dynamic
-    admittance matrix (loads, machine reactances and the static remainder at
-    the motor bus folded in), generator EMFs, the motor state and the
-    balancing torques.
+    Holds everything the simulator and linearizer need: the network reduced
+    to the buses the dynamics read (``net``), the full dynamic admittance
+    matrix (loads, machine reactances and the static remainder at the motor
+    bus folded in) for the frequency-domain reduction, generator EMFs, the
+    motor state and the balancing torque.
     """
 
     case: object
@@ -113,7 +134,6 @@ class SystemEquilibrium:
     motor_bus: int
     gen_emag: dict                    # bus id -> EMF magnitude
     gen_delta: dict                   # bus id -> rotor angle, rad
-    gen_pm: dict                      # bus id -> mechanical power
     dyn_gen_buses: list               # non-slack generator bus ids, case order
     slack_gen_bus: int
     tm: float                         # motor mechanical torque
@@ -121,8 +141,8 @@ class SystemEquilibrium:
     remainder_shunt: complex          # static part folded at the motor bus
     y_dyn: np.ndarray                 # complex (n, n)
     v_eq: np.ndarray                  # complex bus voltages at equilibrium
+    net: ReducedNetwork
     deriv_norm: float = 0.0
-    _lu: object = field(default=None, repr=False)
 
     @property
     def n_states(self):
@@ -141,11 +161,6 @@ class SystemEquilibrium:
             z += [self.gen_delta[bus], 0.0]
         z += [self.exy0.real, self.exy0.imag, self.params.s0]
         return np.array(z)
-
-    def lu(self):
-        if self._lu is None:
-            self._lu = lu_factor(self.y_dyn)
-        return self._lu
 
 
 def init_equilibrium(case, pf, motor_spec):
@@ -218,14 +233,31 @@ def init_equilibrium(case, pf, motor_spec):
     exy0 = kap * v6_eq
     tm = (exy0.real * v6_eq.imag - exy0.imag * v6_eq.real) / Xp
 
+    # Kron reduction to the read buses: the rows of y^-1 there.
     slack_bus = case.slack_bus().id
-    dyn_gens = [g.bus for g in case.generators if g.bus != slack_bus]
-    gen_pm = {}
-    for g in case.generators:
-        k = idx[g.bus]
-        e_ph = gen_emag[g.bus] * np.exp(1j * gen_delta[g.bus])
-        i_g = (e_ph - v_eq[k]) / (1j * g.xdp)
-        gen_pm[g.bus] = float(np.real(e_ph * np.conj(i_g)))
+    dyn = [g for g in case.generators if g.bus != slack_bus]
+    read = [idx[g.bus] for g in dyn] + [m]
+    try:
+        z_read = np.linalg.inv(y)[read]
+    except np.linalg.LinAlgError as exc:
+        raise EquilibriumError(f"singular dynamic admittance matrix: {exc}") from exc
+    g_sl = case.generator_at(slack_bus)
+    e_sl = gen_emag[slack_bus] * np.exp(1j * gen_delta[slack_bus])
+    xdp = np.array([g.xdp for g in dyn])
+    e_gen = np.array([gen_emag[g.bus] for g in dyn])
+    e_ph = e_gen * np.exp(1j * np.array([gen_delta[g.bus] for g in dyn]))
+    i_g = (e_ph - v_eq[read[:-1]]) / (1j * xdp)
+    net = ReducedNetwork(
+        z=z_read,
+        v_slack=z_read[:, idx[slack_bus]] * (e_sl / (1j * g_sl.xdp)),
+        z_gen=z_read[:, read[:-1]] / (1j * xdp),
+        z_mot=z_read[:, m] / (1j * Xp),
+        e_gen=e_gen,
+        xdp=xdp,
+        tj=np.array([g.tj for g in dyn]),
+        damping=np.array([g.damping for g in dyn]),
+        pm=(e_ph * i_g.conj()).real,
+    )
 
     params = LoadParameters(
         X=X,
@@ -247,14 +279,14 @@ def init_equilibrium(case, pf, motor_spec):
         motor_bus=motor.bus,
         gen_emag=gen_emag,
         gen_delta=gen_delta,
-        gen_pm=gen_pm,
-        dyn_gen_buses=dyn_gens,
+        dyn_gen_buses=[g.bus for g in dyn],
         slack_gen_bus=slack_bus,
         tm=float(tm),
         exy0=exy0,
         remainder_shunt=complex(y_rem),
         y_dyn=y,
         v_eq=v_eq,
+        net=net,
     )
     eq.deriv_norm = float(np.linalg.norm(_rhs(eq, eq.equilibrium_state(), 0.0, 0.0)[0]))
     if eq.deriv_norm > 1e-9:
@@ -264,48 +296,23 @@ def init_equilibrium(case, pf, motor_spec):
     return eq
 
 
-def _injections(eq, z, xi_ext, ext_index, ext_dir):
-    """Constant-current injection vector for the network solve."""
-    case = eq.case
-    idx = case.bus_index()
-    b = np.zeros(case.n, dtype=complex)
-    k_slack = idx[eq.slack_gen_bus]
-    g_slack = case.generator_at(eq.slack_gen_bus)
-    e_sl = eq.gen_emag[eq.slack_gen_bus] * np.exp(1j * eq.gen_delta[eq.slack_gen_bus])
-    b[k_slack] += e_sl / (1j * g_slack.xdp)
-    for i, bus in enumerate(eq.dyn_gen_buses):
-        g = case.generator_at(bus)
-        delta = z[2 * i]
-        e_ph = eq.gen_emag[bus] * np.exp(1j * delta)
-        b[idx[bus]] += e_ph / (1j * g.xdp)
-    exy = z[-3] + 1j * z[-2]
-    b[idx[eq.motor_bus]] += exy / (1j * eq.params.Xp)
-    if ext_index is not None and xi_ext != 0.0:
-        b[ext_index] += xi_ext * ext_dir
-    return b
-
-
 def _rhs(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None, ext_dir=1.0 + 0j):
-    """State derivative and the solved bus voltages."""
-    case = eq.case
-    idx = case.bus_index()
-    b = _injections(eq, z, xi_ext, ext_index, ext_dir)
-    v = lu_solve(eq.lu(), b)
-    dz = np.empty_like(z)
-    for i, bus in enumerate(eq.dyn_gen_buses):
-        g = case.generator_at(bus)
-        delta, w = z[2 * i], z[2 * i + 1]
-        e = eq.gen_emag[bus]
-        ex, ey = e * math.cos(delta), e * math.sin(delta)
-        vb = v[idx[bus]]
-        pe = (ey * vb.real - ex * vb.imag) / g.xdp
-        dz[2 * i] = OMEGA_S * w
-        dz[2 * i + 1] = (eq.gen_pm[bus] - pe - g.damping * w) / g.tj
-    p = eq.params
+    """State derivative and the read-bus voltages (dynamic generators in
+    case order, motor last)."""
+    net, p = eq.net, eq.params
+    delta, w = z[:-3:2], z[1:-3:2]
+    e_gen = net.e_gen * np.exp(1j * delta)
     exp_, eyp, s = z[-3], z[-2], z[-1]
-    v6 = v[idx[eq.motor_bus]]
+    v = net.v_slack + net.z_gen @ e_gen + net.z_mot * complex(exp_, eyp)
+    if ext_index is not None and xi_ext != 0.0:
+        v = v + net.z[:, ext_index] * (xi_ext * ext_dir)
+    pe = (e_gen * v[:-1].conj()).imag / net.xdp
+    v6 = v[-1]
     te = (exp_ * v6.imag - eyp * v6.real) / p.Xp
     k_emf = 1.0 / (p.Xp * p.Td0p)
+    dz = np.empty_like(z)
+    dz[:-3:2] = OMEGA_S * w
+    dz[1:-3:2] = (net.pm - pe - net.damping * w) / net.tj
     dz[-3] = k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real) + s * OMEGA_S * eyp
     dz[-2] = k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag) - s * OMEGA_S * exp_
     dz[-1] = (eq.tm + e_int - te) / p.Tj
@@ -341,61 +348,43 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     and, when a disturbance bus is given (or declared in the case), the
     external current injection.  Outputs are the motor-bus quantities
     (v, theta, p, q) plus the rectangular voltage and current deltas.
+
+    Every state derivative and output depends on a read-bus voltage ``v``
+    as ``Re(w v)`` for a complex weight ``w``, so its voltage part is
+    ``Re(w dv/dz)`` with ``dv/dz`` taken from the reduced network.
     """
-    idx = case.bus_index()
-    n = case.n
+    net, p = eq.net, eq.params
     nx = eq.n_states
-    m = idx[eq.motor_bus]
+    ng = len(eq.dyn_gen_buses)
+    rx, ry, rs = nx - 3, nx - 2, nx - 1
     if disturbance_bus is None:
         inj = [ld for ld in case.loads if ld.kind == "injection"]
         disturbance_bus = inj[0].bus if inj else None
 
-    yr = expand_real(eq.y_dyn)
-    try:
-        yr_inv = np.linalg.inv(yr)
-    except np.linalg.LinAlgError as exc:
-        raise LinearizationError(f"singular algebraic Jacobian: {exc}") from exc
-
     z0 = eq.equilibrium_state()
     _, v0 = _rhs(eq, z0)
-    p = eq.params
+    e_gen = net.e_gen * np.exp(1j * z0[:-3:2])
+    exy = eq.exy0
+    exp_, eyp, s0 = exy.real, exy.imag, z0[-1]
+    v6 = v0[-1]
 
-    # db/dz: sensitivity of the stacked injection vector to the states.
-    db_dz = np.zeros((2 * n, nx))
-    for i, bus in enumerate(eq.dyn_gen_buses):
-        g = case.generator_at(bus)
-        e = eq.gen_emag[bus]
-        delta = eq.gen_delta[bus]
-        ex, ey = e * math.cos(delta), e * math.sin(delta)
-        k = idx[bus]
-        db_dz[2 * k, 2 * i] = ex / g.xdp
-        db_dz[2 * k + 1, 2 * i] = ey / g.xdp
-    db_dz[2 * m, nx - 2] = 1.0 / p.Xp       # d(bx)/d(E'y)
-    db_dz[2 * m + 1, nx - 3] = -1.0 / p.Xp  # d(by)/d(E'x)
+    # Read-bus voltages versus the states.
+    dv_dz = np.zeros((ng + 1, nx), dtype=complex)
+    dv_dz[:, :-3:2] = net.z_gen * (1j * e_gen)
+    dv_dz[:, rx] = net.z_mot
+    dv_dz[:, ry] = 1j * net.z_mot
 
-    du_dz = yr_inv @ db_dz  # bus-voltage components versus states
-
-    # df/dz direct part and df/du (voltage part), then chain rule.
+    # Direct state part and voltage weights of the state derivative.
     df_dz = np.zeros((nx, nx))
-    df_du = np.zeros((nx, 2 * n))
-    for i, bus in enumerate(eq.dyn_gen_buses):
-        g = case.generator_at(bus)
-        e = eq.gen_emag[bus]
-        delta = eq.gen_delta[bus]
-        ex, ey = e * math.cos(delta), e * math.sin(delta)
-        vb = v0[idx[bus]]
-        k = idx[bus]
+    w_f = np.zeros((nx, ng + 1), dtype=complex)
+    for i in range(ng):
         r = 2 * i + 1
+        xt = net.xdp[i] * net.tj[i]
         df_dz[2 * i, r] = OMEGA_S
-        df_dz[r, 2 * i] = -(ex * vb.real + ey * vb.imag) / (g.xdp * g.tj)
-        df_dz[r, r] = -g.damping / g.tj
-        df_du[r, 2 * k] = -ey / (g.xdp * g.tj)
-        df_du[r, 2 * k + 1] = ex / (g.xdp * g.tj)
-
-    v6 = v0[m]
-    exp_, eyp, s0 = z0[-3], z0[-2], z0[-1]
+        df_dz[r, 2 * i] = -(e_gen[i] * v0[i].conjugate()).real / xt
+        df_dz[r, r] = -net.damping[i] / net.tj[i]
+        w_f[r, i] = -1j * e_gen[i].conjugate() / xt
     k_emf = 1.0 / (p.Xp * p.Td0p)
-    rx, ry, rs = nx - 3, nx - 2, nx - 1
     df_dz[rx, rx] = -p.X * k_emf
     df_dz[rx, ry] = s0 * OMEGA_S
     df_dz[rx, rs] = OMEGA_S * eyp
@@ -404,46 +393,43 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     df_dz[ry, rs] = -OMEGA_S * exp_
     df_dz[rs, rx] = -v6.imag / (p.Xp * p.Tj)
     df_dz[rs, ry] = v6.real / (p.Xp * p.Tj)
-    df_du[rx, 2 * m] = (p.X - p.Xp) * k_emf
-    df_du[ry, 2 * m + 1] = (p.X - p.Xp) * k_emf
-    df_du[rs, 2 * m] = eyp / (p.Xp * p.Tj)
-    df_du[rs, 2 * m + 1] = -exp_ / (p.Xp * p.Tj)
+    w_f[rx, -1] = (p.X - p.Xp) * k_emf
+    w_f[ry, -1] = -1j * (p.X - p.Xp) * k_emf
+    w_f[rs, -1] = 1j * exy.conjugate() / (p.Xp * p.Tj)
 
-    a = df_dz + df_du @ du_dz
+    a = df_dz + (w_f @ dv_dz).real
 
-    # Outputs at the motor bus.
-    dg_dz = np.zeros((len(OUTPUT_LABELS), nx))
-    dg_du = np.zeros((len(OUTPUT_LABELS), 2 * n))
+    # Outputs at the motor bus: direct state part and motor-voltage weights.
     vx, vy = v6.real, v6.imag
     vm = abs(v6)
-    dg_du[0, 2 * m], dg_du[0, 2 * m + 1] = vx / vm, vy / vm
-    dg_du[1, 2 * m], dg_du[1, 2 * m + 1] = -vy / vm**2, vx / vm**2
+    dg_dz = np.zeros((len(OUTPUT_LABELS), nx))
     dg_dz[2, rx], dg_dz[2, ry] = vy / p.Xp, -vx / p.Xp
-    dg_du[2, 2 * m], dg_du[2, 2 * m + 1] = -eyp / p.Xp, exp_ / p.Xp
     dg_dz[3, rx], dg_dz[3, ry] = -vx / p.Xp, -vy / p.Xp
-    dg_du[3, 2 * m] = (2 * vx - exp_) / p.Xp
-    dg_du[3, 2 * m + 1] = (2 * vy - eyp) / p.Xp
-    dg_du[4, 2 * m] = 1.0
-    dg_du[5, 2 * m + 1] = 1.0
     dg_dz[6, ry] = -1.0 / p.Xp
-    dg_du[6, 2 * m + 1] = 1.0 / p.Xp
     dg_dz[7, rx] = 1.0 / p.Xp
-    dg_du[7, 2 * m] = -1.0 / p.Xp
+    w_g = np.array([
+        v6.conjugate() / vm,
+        -1j * v6.conjugate() / vm**2,
+        -1j * exy.conjugate() / p.Xp,
+        (2 * v6 - exy).conjugate() / p.Xp,
+        1.0,
+        -1j,
+        -1j / p.Xp,
+        -1.0 / p.Xp,
+    ])
 
-    c = dg_dz + dg_du @ du_dz
+    c = dg_dz + (w_g[:, None] * dv_dz[-1]).real
 
     input_labels = ["torque_noise"]
     b_cols = [np.zeros(nx)]
     b_cols[0][rs] = 1.0 / p.Tj
     d_cols = [np.zeros(len(OUTPUT_LABELS))]
     if disturbance_bus is not None:
-        h = idx[disturbance_bus]
         phi = math.radians(direction_deg)
-        u_dir = np.zeros(2 * n)
-        u_dir[2 * h], u_dir[2 * h + 1] = math.cos(phi), math.sin(phi)
-        du_dxi = yr_inv @ u_dir
-        b_cols.append(df_du @ du_dxi)
-        d_cols.append(dg_du @ du_dxi)
+        dv_dxi = net.z[:, case.bus_index()[disturbance_bus]] * complex(
+            math.cos(phi), math.sin(phi))
+        b_cols.append((w_f @ dv_dxi).real)
+        d_cols.append((w_g * dv_dxi[-1]).real)
         input_labels.append("current_injection")
 
     return LinearModel(
@@ -550,8 +536,6 @@ def simulate(case, eq, scenario):
     phi_a = w0 - phi_b         # weight at the step start
 
     z_eq = eq.equilibrium_state()
-    idx = case.bus_index()
-    m = idx[eq.motor_bus]
     p = eq.params
 
     def remainder(z, e_i, xi):
@@ -563,7 +547,7 @@ def simulate(case, eq, scenario):
     data = np.empty((n_samples, 4))
 
     def record(k_sample, t, z, v):
-        v6 = v[m]
+        v6 = v[-1]
         exy = z[-3] + 1j * z[-2]
         pm = (exy.real * v6.imag - exy.imag * v6.real) / p.Xp
         qm = (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp

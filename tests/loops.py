@@ -1,12 +1,17 @@
-"""Per-sample reference loops for the discrete LTI propagation.
+"""Slow reference implementations that the tests hold the fast paths to.
 
-These are the straightforward recursions that ``greybox.propagate``
-replaces in ``predict``, ``simulate_discrete`` and ``sim.linear_response``;
-the tests compare the block kernel against them.
+The per-sample loops are the straightforward recursions that
+``greybox.propagate`` replaces in ``predict``, ``simulate_discrete`` and
+``sim.linear_response``.  ``rhs_full_network`` is the simulator right-hand
+side solved on the whole network, which ``sim._rhs`` replaces with the
+reduced network map.
 """
+
+import math
 
 import numpy as np
 
+from loadsysid.constants import OMEGA_S
 from loadsysid.greybox import van_loan
 
 
@@ -64,3 +69,42 @@ def linear_response_loop(model, disturbance, ts):
         out[k] = model.c @ x + model.d @ d[k]
         x = ad @ x + bd @ d[k]
     return out
+
+
+def rhs_full_network(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None,
+                     ext_dir=1.0 + 0j):
+    """State derivative and read-bus voltages (dynamic generators in case
+    order, motor last) from the bus injection vector of every source and
+    one solve on the full dynamic admittance matrix."""
+    case, p = eq.case, eq.params
+    idx = case.bus_index()
+    b = np.zeros(case.n, dtype=complex)
+    slack = eq.slack_gen_bus
+    b[idx[slack]] += (eq.gen_emag[slack] * np.exp(1j * eq.gen_delta[slack])
+                      / (1j * case.generator_at(slack).xdp))
+    for i, bus in enumerate(eq.dyn_gen_buses):
+        b[idx[bus]] += (eq.gen_emag[bus] * np.exp(1j * z[2 * i])
+                        / (1j * case.generator_at(bus).xdp))
+    b[idx[eq.motor_bus]] += (z[-3] + 1j * z[-2]) / (1j * p.Xp)
+    if ext_index is not None:
+        b[ext_index] += xi_ext * ext_dir
+    v = np.linalg.solve(eq.y_dyn, b)
+
+    dz = np.empty_like(z)
+    for i, bus in enumerate(eq.dyn_gen_buses):
+        g = case.generator_at(bus)
+        delta, w = z[2 * i], z[2 * i + 1]
+        e = eq.gen_emag[bus]
+        vb = v[idx[bus]]
+        pe = (e * math.sin(delta) * vb.real - e * math.cos(delta) * vb.imag) / g.xdp
+        dz[2 * i] = OMEGA_S * w
+        dz[2 * i + 1] = (eq.net.pm[i] - pe - g.damping * w) / g.tj
+    exp_, eyp, s = z[-3], z[-2], z[-1]
+    v6 = v[idx[eq.motor_bus]]
+    te = (exp_ * v6.imag - eyp * v6.real) / p.Xp
+    k_emf = 1.0 / (p.Xp * p.Td0p)
+    dz[-3] = k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real) + s * OMEGA_S * eyp
+    dz[-2] = k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag) - s * OMEGA_S * exp_
+    dz[-1] = (eq.tm + e_int - te) / p.Tj
+    read = [idx[bus] for bus in eq.dyn_gen_buses] + [idx[eq.motor_bus]]
+    return dz, v[read]

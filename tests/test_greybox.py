@@ -513,6 +513,17 @@ def test_identify_failure_reports_diagnostics():
     assert err.value.diagnostics
 
 
+@pytest.mark.parametrize("free, bounds", [
+    (("X", "Pz"), None),             # the default box of Pz = 0 is (0, 0)
+    (("X", "Tj"), {"Tj": (2.0, 2.0)}),
+])
+def test_identify_rejects_zero_width_bounds(free, bounds):
+    truth = _params(Pz=0.0)
+    win = _noise_free_series(truth, seed=6)
+    with pytest.raises(ToolkitError, match=r"\['" + free[1] + r"'\] have zero-width"):
+        identify(win, truth, bounds=bounds, free=free, n_restarts=2, burn_in=0)
+
+
 def test_gradient_step_size_robustness():
     truth = _params()
     win = _noise_free_series(truth, seed=7)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadsysid.errors import EquilibriumError
 from loadsysid.motor import MotorSpec, motor_pq
@@ -19,7 +23,7 @@ from loadsysid.sim import (
 from loadsysid.constants import OMEGA_S
 
 from conftest import TRUE_MOTOR
-from loops import linear_response_loop
+from loops import linear_response_loop, rhs_full_network
 
 
 def test_equilibrium_matches_reference_values(wscc_eq):
@@ -36,6 +40,33 @@ def test_equilibrium_derivative_norm(wscc_eq):
     dz, _ = _rhs(wscc_eq, wscc_eq.equilibrium_state())
     assert np.linalg.norm(dz) < 1e-9
     assert wscc_eq.deriv_norm < 1e-9
+
+
+# Perturbation scale per state: rotor angles, speeds, EMF pair, slip.
+_STATE_SCALE = np.array([0.2, 0.01, 0.2, 0.01, 0.05, 0.05, 0.005])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dstate=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+       e_int=st.floats(-0.2, 0.2),
+       xi=st.floats(-0.2, 0.2),
+       angle=st.floats(0.0, 2 * math.pi),
+       inject=st.booleans())
+def test_reduced_rhs_matches_full_network_solve(wscc_eq, dstate, e_int, xi,
+                                                angle, inject):
+    z = wscc_eq.equilibrium_state() + _STATE_SCALE * np.array(dstate)
+    if inject:   # xi_ext, ext_index, ext_dir
+        ext = (xi, wscc_eq.case.bus_index()[8],
+               complex(math.cos(angle), math.sin(angle)))
+    else:
+        ext = (0.0, None, 1.0 + 0j)
+    dz_map, v_map = _rhs(wscc_eq, z, e_int, *ext)
+    dz_full, v_full = rhs_full_network(wscc_eq, z, e_int, *ext)
+    # Per-unit derivatives cancel to zero at equilibrium, so the relative
+    # gate is taken against the unit scale of the terms that cancel.
+    assert np.max(np.abs(dz_map - dz_full)) <= 1e-12 * max(
+        1.0, np.max(np.abs(dz_full)))
+    assert np.max(np.abs(v_map - v_full)) <= 1e-12 * np.max(np.abs(v_full))
 
 
 def test_equilibrium_torque_balance(wscc_eq):

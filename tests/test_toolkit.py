@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid import io as tio
-from loadsysid import pipeline
+from loadsysid import config, pipeline
 from loadsysid.cli import EXIT_CONFIG, EXIT_IDENT, EXIT_OK, EXIT_SIMULATION, main
 from loadsysid.config import default_config_text, load_config
 from loadsysid.errors import (
@@ -66,6 +66,23 @@ def test_config_rejects_bad_lines():
         load_config("just some words\n")
     with pytest.raises(ConfigError):
         load_config(SHORT_CFG + "\ndiagnostics.band_high_hz = 80\n")
+    with pytest.raises(ConfigError, match=r"\['ident.restart', 'motor.x'\]"):
+        load_config(SHORT_CFG + "ident.restart = 1\nmotor.x = 3\n")
+
+
+def test_config_knows_every_key_it_reads(monkeypatch):
+    # Both noise windows active, so load_config reads every key it has.
+    read = []
+    get = config._get
+
+    def recording_get(values, key, *args, **kwargs):
+        read.append(key)
+        return get(values, key, *args, **kwargs)
+
+    monkeypatch.setattr(config, "_get", recording_get)
+    load_config(SHORT_CFG + "scenario.external.variance = 0.001\n"
+                "scenario.external.bus = 8\n")
+    assert len(read) > 30 and set(read) <= config.KNOWN_KEYS
 
 
 def test_config_missing_case_file():
@@ -257,18 +274,33 @@ def test_package_import_leaves_out_scipy_signal():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_pins_blas_threads_unless_set():
-    script = ("import os; os.environ['OMP_NUM_THREADS'] = '2'; "
-              "import loadsysid.cli; "
-              "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
-              "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                        "MKL_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "2", "1"]
+def test_simulation_and_linearization_are_blas_thread_invariant():
+    # A 2 s record and the linearization, hashed at one and two BLAS threads.
+    script = (
+        "import hashlib\n"
+        "from dataclasses import replace\n"
+        "from loadsysid.config import default_config_text, load_config\n"
+        "from loadsysid.pipeline import build_system\n"
+        "from loadsysid.sim import linearize_system, simulate\n"
+        "cfg = load_config(default_config_text())\n"
+        "case, _, eq = build_system(cfg)\n"
+        "model = linearize_system(case, eq, disturbance_bus=8)\n"
+        "sc = replace(cfg.scenario, duration=2.0,\n"
+        "             internal=replace(cfg.scenario.internal, end=2.0))\n"
+        "h = hashlib.sha256(simulate(case, eq, sc).data.tobytes())\n"
+        "for m in (model.a, model.b, model.c, model.d):\n"
+        "    h.update(m.tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
@@ -293,7 +325,9 @@ ident.restarts = 1
 
 
 @pytest.mark.parametrize("line", ["ident.free = X,Xq",
-                                  "ident.init = explicit:1.0,0.2"])
+                                  "ident.init = explicit:1.0,0.2",
+                                  "ident.free = X,Xp,Td0p,Tj,s0,Pz",
+                                  "ident.restart = 1"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(default_config_text() + "\n" + line + "\n")
