@@ -153,10 +153,11 @@ def sample_autocovariance(u, max_lag):
 def persistent_excitation_order(u, n_max, singularity_threshold=1e-10):
     """Largest verified persistent-excitation order of a record.
 
-    Builds the block-Toeplitz autocovariance matrix per order and accepts
-    an order while its condition number stays below the reciprocal of the
-    singularity threshold.  Orders are verified incrementally so the result
-    is monotone by construction.
+    Builds the block-Toeplitz autocovariance matrix of order ``n_max``,
+    whose leading principal blocks are the matrices of the lower orders,
+    and accepts an order while its condition number stays below the
+    reciprocal of the singularity threshold.  Orders are verified
+    incrementally so the result is monotone by construction.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[0] < u.shape[1]:
@@ -168,19 +169,18 @@ def persistent_excitation_order(u, n_max, singularity_threshold=1e-10):
         )
     r = sample_autocovariance(u, n_max - 1)
     c = r.shape[1]
+    # Block (i, j) is r[i - j] on and below the diagonal, r[j - i].T above.
+    lag = np.subtract.outer(np.arange(n_max), np.arange(n_max))
+    blocks = r[np.abs(lag)]
+    blocks = np.where((lag >= 0)[:, :, None, None], blocks,
+                      blocks.swapaxes(2, 3))
+    big = blocks.swapaxes(1, 2).reshape(n_max * c, n_max * c)
     orders = np.arange(1, n_max + 1)
     conds = np.empty(n_max)
     verified = 0
     cond_cap = 1.0 / singularity_threshold
     for ni in orders:
-        big = np.empty((ni * c, ni * c))
-        for i in range(ni):
-            for j in range(ni):
-                blk = r[abs(i - j)]
-                big[i * c:(i + 1) * c, j * c:(j + 1) * c] = (
-                    blk if i >= j else blk.T
-                )
-        conds[ni - 1] = np.linalg.cond(big)
+        conds[ni - 1] = np.linalg.cond(big[:ni * c, :ni * c])
         if conds[ni - 1] < cond_cap and verified == ni - 1:
             verified = ni
     return PEReport(

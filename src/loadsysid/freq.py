@@ -72,6 +72,27 @@ def default_grid(f_min=0.01, f_max=10.0, n=200):
     return 2.0 * math.pi * np.logspace(math.log10(f_min), math.log10(f_max), n)
 
 
+def _solve_grid(mats, rhs, omega, what):
+    """``np.linalg.solve`` over a stack of per-frequency matrices.  A
+    singular matrix raises a FrequencyDomainError at the first grid point
+    where it occurs."""
+    try:
+        return np.linalg.solve(mats, rhs)
+    except np.linalg.LinAlgError as exc:
+        for w, mat in zip(omega, mats):
+            try:
+                np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                raise FrequencyDomainError(
+                    f"singular {what} at omega={w}", omega=float(w)) from exc
+        raise
+
+
+def _resolvent(a, omega_grid):
+    """The stack of ``j w I - A`` over the grid."""
+    return 1j * omega_grid[:, None, None] * np.eye(len(a)) - a
+
+
 def generator_frf(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
     """Voltage-to-injected-current transfer of one classical generator.
 
@@ -87,98 +108,73 @@ def generator_frf(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
     c = np.array([[ex / gen.xdp, 0.0], [ey / gen.xdp, 0.0]])
     d = np.array([[0.0, -1.0], [1.0, 0.0]]) / gen.xdp
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.empty((len(omega), 2, 2), dtype=complex)
-    eye = np.eye(2)
-    for i, w in enumerate(omega):
-        m = 1j * w * eye - a
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise FrequencyDomainError(
-                f"generator response singular at omega={w}", omega=w
-            )
-        out[i] = c @ np.linalg.solve(m, b) + d
-    return out
+    m = _resolvent(a, omega)
+    singular = np.abs(np.linalg.det(m)) < 1e-12
+    if singular.any():
+        w = float(omega[singular.argmax()])
+        raise FrequencyDomainError(
+            f"generator response singular at omega={w}", omega=w
+        )
+    return c @ np.linalg.solve(m, b) + d
 
 
-def _frequency_system(eq, omega):
-    """Real-expanded network matrix with generator responses folded, one
-    (2n, 2n) complex matrix per frequency."""
-    case = eq.case
-    idx = case.bus_index()
-    n = case.n
-    yr = expand_real(eq.y_dyn)
-    # The machine reactances sit in y_dyn; generators additionally inject
-    # state-dependent current, which appears here as their FRF minus the
-    # constant reactance part already folded into y_dyn.
-    mats = np.repeat(yr[None, :, :].astype(complex), len(omega), axis=0)
-    for bus in eq.dyn_gen_buses:
-        g = case.generator_at(bus)
-        k = idx[bus]
-        e_ph = eq.gen_emag[bus] * np.exp(1j * eq.gen_delta[bus])
-        v_ph = eq.v_eq[k]
-        frf = generator_frf(g, e_ph, v_ph, omega)
-        # y_dyn already carries the reactance feedthrough -1/(j xdp) of the
-        # injection map on its diagonal; only the state-driven part of the
-        # generator response remains to be folded in.
-        d_part = expand_real(np.array([[-1.0 / (1j * g.xdp)]]))
-        sl = slice(2 * k, 2 * k + 2)
-        for i in range(len(omega)):
-            mats[i, sl, sl] -= frf[i] - d_part
-    # The slack machine is an infinite bus: constant EMF, its reactance is
-    # already in y_dyn and it injects no delta current.
-    return mats
-
-
-def reduce_to_load(case, eq, omega_grid, load_bus=None, disturbance_bus=None,
+def reduce_to_load(case, eq, omega_grid, disturbance_bus=None,
                    direction_deg=0.0):
     """Equivalent network response and external-disturbance path.
 
-    Per frequency, generator responses are substituted into the
-    real-expanded network equation and every variable except the load-bus
-    pair is eliminated, yielding the 2x2 feedback response K and, when a
-    disturbance bus is named, the 2x1 injection path.
+    The network is frequency independent, so its Kron reduction onto the
+    dynamic generators' buses and the motor bus is taken once, from the
+    simulator's reduced map: the inverse of that map's block at those
+    buses.  The identified motor's own admittance is removed (K describes
+    everything except the load under identification), the generator
+    responses are added in the real-expanded coordinates, and the
+    generator block is eliminated in one stacked solve over the grid.
+    This yields the 2x2 feedback response K and, when a disturbance bus is
+    named, the 2x1 injection path.  The slack machine is an infinite bus:
+    constant EMF, its reactance is in ``y_dyn`` and it injects no delta
+    current.
     """
     idx = case.bus_index()
-    load_bus = load_bus if load_bus is not None else eq.motor_bus
-    m = idx[load_bus]
     omega_grid = np.asarray(omega_grid, dtype=float)
-    mats = _frequency_system(eq, omega_grid)
-    # Remove the identified motor's own admittance: K describes everything
-    # except the load under identification.
-    y_motor = expand_real(np.array([[1.0 / (1j * eq.params.Xp)]]))
-    sl = slice(2 * m, 2 * m + 2)
-    keep = [2 * m, 2 * m + 1]
-    drop = [i for i in range(mats.shape[1]) if i not in keep]
-    k_vals = np.empty((len(omega_grid), 2, 2), dtype=complex)
-    kh_vals = None
-    u_dir = None
-    if disturbance_bus is not None:
-        h = idx[disturbance_bus]
+    n_gen = len(eq.dyn_gen_buses)
+    rows = list(range(n_gen)) + [-1]          # the map's rows, motor last
+    cols = [idx[bus] for bus in eq.dyn_gen_buses + [eq.motor_bus]]
+    try:
+        y_red = np.linalg.inv(eq.net.z[np.ix_(rows, cols)])
+    except np.linalg.LinAlgError as exc:
+        raise FrequencyDomainError(
+            f"singular reduced network at omega={omega_grid[0]}",
+            omega=float(omega_grid[0])) from exc
+    # An injection enters the reduced network as the current that sets the
+    # same voltages at the kept buses; at the motor bus itself it would not
+    # pass through the network.
+    u = np.zeros((n_gen + 1, 1), dtype=complex)
+    if disturbance_bus is not None and disturbance_bus != eq.motor_bus:
         phi = math.radians(direction_deg)
-        u_dir = np.zeros(2 * case.n)
-        u_dir[2 * h], u_dir[2 * h + 1] = math.cos(phi), math.sin(phi)
-        u_dir = u_dir[drop]
-        kh_vals = np.empty((len(omega_grid), 2, 1), dtype=complex)
-    for i, w in enumerate(omega_grid):
-        mat = mats[i].copy()
-        mat[sl, sl] -= y_motor
-        m_kk = mat[np.ix_(keep, keep)]
-        m_kd = mat[np.ix_(keep, drop)]
-        m_dk = mat[np.ix_(drop, keep)]
-        m_dd = mat[np.ix_(drop, drop)]
-        try:
-            x_dk = np.linalg.solve(m_dd, m_dk)
-        except np.linalg.LinAlgError as exc:
-            raise FrequencyDomainError(
-                f"singular elimination block at omega={w}", omega=w
-            ) from exc
-        k_vals[i] = -(m_kk - m_kd @ x_dk)
-        if kh_vals is not None:
-            kh_vals[i] = (-m_kd @ np.linalg.solve(m_dd, u_dir))[:, None]
-    k = FrequencyResponse(omega_grid, k_vals,
+        u[:, 0] = y_red @ eq.net.z[rows, idx[disturbance_bus]] * complex(
+            math.cos(phi), math.sin(phi))
+    y_red[-1, -1] -= 1.0 / (1j * eq.params.Xp)
+    red = expand_real(y_red)
+    u = expand_real(u)[:, :1]
+
+    # y_dyn already carries each generator's reactance feedthrough on its
+    # diagonal; only the state-driven part of its response is added.
+    m_gg = np.repeat(red[None, :-2, :-2].astype(complex), len(omega_grid),
+                     axis=0)
+    for i, bus in enumerate(eq.dyn_gen_buses):
+        g = case.generator_at(bus)
+        e_ph = eq.gen_emag[bus] * np.exp(1j * eq.gen_delta[bus])
+        frf = generator_frf(g, e_ph, eq.v_eq[idx[bus]], omega_grid)
+        d_part = expand_real(np.array([[-1.0 / (1j * g.xdp)]]))
+        m_gg[:, 2 * i:2 * i + 2, 2 * i:2 * i + 2] -= frf - d_part
+    x_gen = _solve_grid(m_gg, np.hstack([red[:-2, -2:], u[:-2]]), omega_grid,
+                        "elimination block")
+    m_kg = red[-2:, :-2]
+    k = FrequencyResponse(omega_grid, m_kg @ x_gen[:, :, :2] - red[-2:, -2:],
                           in_labels=["dVx", "dVy"], out_labels=["dIx", "dIy"])
     kh = None
-    if kh_vals is not None:
-        kh = FrequencyResponse(omega_grid, kh_vals,
+    if disturbance_bus is not None:
+        kh = FrequencyResponse(omega_grid, u[-2:] - m_kg @ x_gen[:, :, 2:],
                                in_labels=["injection"],
                                out_labels=["dIx", "dIy"])
     return k, kh
@@ -224,18 +220,15 @@ def load_frf(params, omega_grid, include_motor=True):
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     cont = assemble_continuous(params, NoiseConfig())
     w_v, w_y, w_u = _output_conversion(params, include_motor=include_motor)
-    out = np.empty((len(omega_grid), 2, 2), dtype=complex)
-    eye = np.eye(3)
-    for i, w in enumerate(omega_grid):
-        if include_motor:
-            g_pq = cont.c @ np.linalg.solve(1j * w * eye - cont.a, cont.b) \
-                + cont.d
-        else:
-            v0 = params.V0
-            g_pq = np.array([[2.0 * params.Pz / v0, 0.0],
-                             [2.0 * params.Qz / v0, 0.0]])
-        out[i] = (w_y @ g_pq + w_u) @ w_v
-    return FrequencyResponse(omega_grid, out,
+    if include_motor:
+        g_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.b,
+                                    omega_grid, "load model") + cont.d
+    else:
+        v0 = params.V0
+        g_pq = np.broadcast_to([[2.0 * params.Pz / v0, 0.0],
+                                [2.0 * params.Qz / v0, 0.0]],
+                               (len(omega_grid), 2, 2))
+    return FrequencyResponse(omega_grid, (w_y @ g_pq + w_u) @ w_v,
                              in_labels=["dVx", "dVy"], out_labels=["dIx", "dIy"])
 
 
@@ -245,12 +238,9 @@ def load_noise_frf(params, omega_grid, noise=None):
     noise = noise if noise is not None else NoiseConfig()
     cont = assemble_continuous(params, noise)
     _, w_y, _ = _output_conversion(params)
-    out = np.empty((len(omega_grid), 2, cont.g.shape[1]), dtype=complex)
-    eye = np.eye(3)
-    for i, w in enumerate(omega_grid):
-        h_pq = cont.c @ np.linalg.solve(1j * w * eye - cont.a, cont.g) + cont.h
-        out[i] = w_y @ h_pq
-    return FrequencyResponse(omega_grid, out,
+    h_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.g,
+                                omega_grid, "load model") + cont.h
+    return FrequencyResponse(omega_grid, w_y @ h_pq,
                              in_labels=["internal"], out_labels=["dIx", "dIy"])
 
 

@@ -102,17 +102,19 @@ class ReducedNetwork:
     motor), split by the sources that drive them, plus the dynamic
     generators' constants as arrays.
 
-    The read-bus voltages are ``v_slack + z_gen @ (e_gen * exp(j delta))
-    + z_mot * E' + z[:, k] * xi`` for a current ``xi`` injected at bus
-    index ``k``.
+    The read-bus voltages are ``v_slack + z_gen @ exp(j delta) + z_mot * E'
+    + z[:, k] * xi`` for a current ``xi`` injected at bus index ``k``; a
+    dynamic generator's electrical power is ``k_pe * Im(exp(j delta) v*)``
+    at its bus voltage ``v``.  The inverse of ``z``'s block at the read
+    buses is the network's Kron reduction onto them, which the frequency
+    domain uses.
     """
 
     z: np.ndarray                     # complex (n_read, n): rows of y_dyn^-1
     v_slack: np.ndarray               # complex (n_read,): slack EMF's part
-    z_gen: np.ndarray                 # complex (n_read, n_gen): per EMF phasor
+    z_gen: np.ndarray                 # complex (n_read, n_gen): per e^{j delta}
     z_mot: np.ndarray                 # complex (n_read,): per motor EMF phasor
-    e_gen: np.ndarray                 # dynamic generators' EMF magnitudes
-    xdp: np.ndarray
+    k_pe: np.ndarray                  # EMF magnitude over transient reactance
     tj: np.ndarray
     damping: np.ndarray
     pm: np.ndarray                    # mechanical powers
@@ -122,11 +124,11 @@ class ReducedNetwork:
 class SystemEquilibrium:
     """Operating point of the full dynamic model.
 
-    Holds everything the simulator and linearizer need: the network reduced
-    to the buses the dynamics read (``net``), the full dynamic admittance
-    matrix (loads, machine reactances and the static remainder at the motor
-    bus folded in) for the frequency-domain reduction, generator EMFs, the
-    motor state and the balancing torque.
+    Holds everything the simulator, the linearizer and the frequency-domain
+    reduction need: the network reduced to the buses the dynamics read
+    (``net``), the full dynamic admittance matrix it was reduced from
+    (loads, machine reactances and the static remainder at the motor bus
+    folded in), generator EMFs, the motor state and the balancing torque.
     """
 
     case: object
@@ -250,10 +252,9 @@ def init_equilibrium(case, pf, motor_spec):
     net = ReducedNetwork(
         z=z_read,
         v_slack=z_read[:, idx[slack_bus]] * (e_sl / (1j * g_sl.xdp)),
-        z_gen=z_read[:, read[:-1]] / (1j * xdp),
+        z_gen=z_read[:, read[:-1]] * (e_gen / (1j * xdp)),
         z_mot=z_read[:, m] / (1j * Xp),
-        e_gen=e_gen,
-        xdp=xdp,
+        k_pe=e_gen / xdp,
         tj=np.array([g.tj for g in dyn]),
         damping=np.array([g.damping for g in dyn]),
         pm=(e_ph * i_g.conj()).real,
@@ -300,22 +301,24 @@ def _rhs(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None, ext_dir=1.0 + 0j):
     """State derivative and the read-bus voltages (dynamic generators in
     case order, motor last)."""
     net, p = eq.net, eq.params
-    delta, w = z[:-3:2], z[1:-3:2]
-    e_gen = net.e_gen * np.exp(1j * delta)
-    exp_, eyp, s = z[-3], z[-2], z[-1]
-    v = net.v_slack + net.z_gen @ e_gen + net.z_mot * complex(exp_, eyp)
+    rot = np.exp(1j * z[:-3:2])
+    w = z[1:-3:2]
+    exp_, eyp, s = z[-3:].tolist()
+    v = net.v_slack + net.z_gen @ rot + net.z_mot * complex(exp_, eyp)
     if ext_index is not None and xi_ext != 0.0:
-        v = v + net.z[:, ext_index] * (xi_ext * ext_dir)
-    pe = (e_gen * v[:-1].conj()).imag / net.xdp
-    v6 = v[-1]
+        v += net.z[:, ext_index] * (xi_ext * ext_dir)
+    pe = net.k_pe * (rot * v[:-1].conj()).imag
+    v6 = complex(v[-1])
     te = (exp_ * v6.imag - eyp * v6.real) / p.Xp
     k_emf = 1.0 / (p.Xp * p.Td0p)
     dz = np.empty_like(z)
     dz[:-3:2] = OMEGA_S * w
     dz[1:-3:2] = (net.pm - pe - net.damping * w) / net.tj
-    dz[-3] = k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real) + s * OMEGA_S * eyp
-    dz[-2] = k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag) - s * OMEGA_S * exp_
-    dz[-1] = (eq.tm + e_int - te) / p.Tj
+    dz[-3:] = (
+        k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real) + s * OMEGA_S * eyp,
+        k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag) - s * OMEGA_S * exp_,
+        (eq.tm + e_int - te) / p.Tj,
+    )
     return dz, v
 
 
@@ -363,14 +366,14 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
 
     z0 = eq.equilibrium_state()
     _, v0 = _rhs(eq, z0)
-    e_gen = net.e_gen * np.exp(1j * z0[:-3:2])
+    rot = np.exp(1j * z0[:-3:2])
     exy = eq.exy0
     exp_, eyp, s0 = exy.real, exy.imag, z0[-1]
     v6 = v0[-1]
 
     # Read-bus voltages versus the states.
     dv_dz = np.zeros((ng + 1, nx), dtype=complex)
-    dv_dz[:, :-3:2] = net.z_gen * (1j * e_gen)
+    dv_dz[:, :-3:2] = net.z_gen * (1j * rot)
     dv_dz[:, rx] = net.z_mot
     dv_dz[:, ry] = 1j * net.z_mot
 
@@ -379,11 +382,11 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     w_f = np.zeros((nx, ng + 1), dtype=complex)
     for i in range(ng):
         r = 2 * i + 1
-        xt = net.xdp[i] * net.tj[i]
+        kt = net.k_pe[i] / net.tj[i]
         df_dz[2 * i, r] = OMEGA_S
-        df_dz[r, 2 * i] = -(e_gen[i] * v0[i].conjugate()).real / xt
+        df_dz[r, 2 * i] = -kt * (rot[i] * v0[i].conjugate()).real
         df_dz[r, r] = -net.damping[i] / net.tj[i]
-        w_f[r, i] = -1j * e_gen[i].conjugate() / xt
+        w_f[r, i] = -1j * kt * rot[i].conjugate()
     k_emf = 1.0 / (p.Xp * p.Td0p)
     df_dz[rx, rx] = -p.X * k_emf
     df_dz[rx, ry] = s0 * OMEGA_S
@@ -502,6 +505,11 @@ def simulate(case, eq, scenario):
     plus a trapezoidal correction for the nonlinear remainder, so the step
     is exact for the linearized system and second order in the remainder.
     Disturbances are held constant over each integration substep.
+
+    A step needs the remainder at its start.  After a sample it reuses the
+    sample-time evaluation, which is at the same state and disturbance;
+    otherwise, while the disturbance is held at the same value, it reuses
+    the previous step's last corrector evaluation.
     """
     dt = scenario.dt_integration
     n_sub = int(round(scenario.duration / dt))
@@ -510,17 +518,19 @@ def simulate(case, eq, scenario):
     def _active(noise):
         return noise is not None and (noise.variance > 0 or noise.value is not None)
 
-    e_int = np.zeros(n_sub)
+    # Per-substep values plus the one after the record's end, which the
+    # final sample reads.
+    e_int = np.zeros(n_sub + 1)
     if _active(scenario.internal):
         rng = np.random.default_rng(scenario.internal.seed)
-        e_int = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
-                                scenario.internal, scenario.duration)
-    xi_ext = np.zeros(n_sub)
+        e_int[:-1] = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
+                                     scenario.internal, scenario.duration)
+    xi_ext = np.zeros(n_sub + 1)
     ext_index, ext_dir = None, 1.0 + 0j
     if _active(scenario.external):
         rng = np.random.default_rng(scenario.external.seed)
-        xi_ext = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
-                                 scenario.external, scenario.duration)
+        xi_ext[:-1] = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
+                                      scenario.external, scenario.duration)
         ext_index = case.bus_index()[scenario.external.bus]
         phi = math.radians(scenario.external.direction_deg)
         ext_dir = complex(math.cos(phi), math.sin(phi))
@@ -555,22 +565,23 @@ def simulate(case, eq, scenario):
         data[k_sample] = (abs(v6), np.angle(v6), pm, qm)
 
     z = z_eq.copy()
-    g0, v = remainder(z, e_int[0] if n_sub else 0.0, xi_ext[0] if n_sub else 0.0)
+    g0, v = remainder(z, e_int.item(0), xi_ext.item(0))
     record(0, 0.0, z, v)
     k_sample = 1
     for k in range(n_sub):
-        e_i, xi = e_int[k], xi_ext[k]
-        if k > 0:
+        e_i, xi = e_int.item(k), xi_ext.item(k)
+        if g0 is None:
             g0, _ = remainder(z, e_i, xi)
         base = z_eq + e_h @ (z - z_eq) + phi_a @ g0
         z_new = base + phi_b @ g0
-        for it in range(25):
-            g1, v = remainder(z_new, e_i, xi)
+        for _ in range(25):
+            g1, _ = remainder(z_new, e_i, xi)
             z_next = base + phi_b @ g1
-            if np.max(np.abs(z_next - z_new)) < 1e-13 * (1.0 + np.max(np.abs(z_new))):
-                z_new = z_next
-                break
+            converged = (abs(z_next - z_new).max()
+                         < 1e-13 * (1.0 + abs(z_new).max()))
             z_new = z_next
+            if converged:
+                break
         else:
             raise SimulationError(
                 f"corrector did not converge at t={(k + 1) * dt:.4f}s",
@@ -581,14 +592,20 @@ def simulate(case, eq, scenario):
             raise SimulationError(
                 f"slip left (0, 1) at t={(k + 1) * dt:.4f}s", t=(k + 1) * dt
             )
+        e_i1, xi1 = e_int.item(k + 1), xi_ext.item(k + 1)
         if (k + 1) % n_per == 0:
             # Sample with the disturbance value active from this instant on,
             # matching the zero-order-hold convention of the linear model.
-            xi_at = xi_ext[k + 1] if k + 1 < n_sub else 0.0
-            e_at = e_int[k + 1] if k + 1 < n_sub else 0.0
-            _, v = remainder(z, e_at, xi_at)
+            # The next step starts from this very evaluation.
+            g0, v = remainder(z, e_i1, xi1)
             record(k_sample, (k + 1) * dt, z, v)
             k_sample += 1
+        elif e_i1 != e_i or xi1 != xi:
+            g0 = None
+        else:
+            # Same held disturbance: the corrector's last evaluation, taken
+            # within its tolerance of the new state, starts the next step.
+            g0 = g1
 
     mvar = np.broadcast_to(np.asarray(scenario.measurement_variance, float), (4,))
     if np.any(mvar > 0):

@@ -4,7 +4,12 @@ The per-sample loops are the straightforward recursions that
 ``greybox.propagate`` replaces in ``predict``, ``simulate_discrete`` and
 ``sim.linear_response``.  ``rhs_full_network`` is the simulator right-hand
 side solved on the whole network, which ``sim._rhs`` replaces with the
-reduced network map.
+reduced network map, and ``simulate_loop`` is ``sim.simulate``'s step
+with the remainder evaluated afresh at every step start.  The frequency
+loops solve one frequency at a time: ``reduce_to_load_loop`` eliminates
+everything but the motor bus from the full system of ``frequency_system``,
+which ``freq.reduce_to_load`` replaces with one constant Kron reduction and
+one stacked solve.
 """
 
 import math
@@ -13,6 +18,7 @@ import numpy as np
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.greybox import van_loan
+from loadsysid.network import expand_real
 
 
 def propagate_loop(a, b, c, d, w):
@@ -108,3 +114,170 @@ def rhs_full_network(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None,
     dz[-1] = (eq.tm + e_int - te) / p.Tj
     read = [idx[bus] for bus in eq.dyn_gen_buses] + [idx[eq.motor_bus]]
     return dz, v[read]
+
+
+def generator_frf_loop(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
+    """Voltage-to-injected-current transfer of one classical generator,
+    one frequency at a time."""
+    ex, ey = e_phasor.real, e_phasor.imag
+    k_delta = (ex * v_phasor.real + ey * v_phasor.imag) / gen.xdp
+    a = np.array([[0.0, omega_s], [-k_delta / gen.tj, -gen.damping / gen.tj]])
+    b = np.array([[0.0, 0.0],
+                  [-ey / (gen.xdp * gen.tj), ex / (gen.xdp * gen.tj)]])
+    c = np.array([[ex / gen.xdp, 0.0], [ey / gen.xdp, 0.0]])
+    d = np.array([[0.0, -1.0], [1.0, 0.0]]) / gen.xdp
+    out = np.empty((len(omega), 2, 2), dtype=complex)
+    for i, w in enumerate(omega):
+        out[i] = c @ np.linalg.solve(1j * w * np.eye(2) - a, b) + d
+    return out
+
+
+def frequency_system(eq, omega):
+    """Real-expanded network matrix with generator responses folded, one
+    (2n, 2n) complex matrix per frequency."""
+    case = eq.case
+    idx = case.bus_index()
+    mats = np.repeat(expand_real(eq.y_dyn)[None, :, :].astype(complex),
+                     len(omega), axis=0)
+    for bus in eq.dyn_gen_buses:
+        g = case.generator_at(bus)
+        k = idx[bus]
+        e_ph = eq.gen_emag[bus] * np.exp(1j * eq.gen_delta[bus])
+        frf = generator_frf_loop(g, e_ph, eq.v_eq[k], omega)
+        # y_dyn already carries the reactance feedthrough -1/(j xdp).
+        d_part = expand_real(np.array([[-1.0 / (1j * g.xdp)]]))
+        sl = slice(2 * k, 2 * k + 2)
+        for i in range(len(omega)):
+            mats[i, sl, sl] -= frf[i] - d_part
+    return mats
+
+
+def reduce_to_load_loop(case, eq, omega, disturbance_bus=None,
+                        direction_deg=0.0):
+    """K and the injection path Kh by eliminating every variable except the
+    motor-bus pair from the full frequency system, one frequency at a
+    time."""
+    idx = case.bus_index()
+    m = idx[eq.motor_bus]
+    mats = frequency_system(eq, omega)
+    y_motor = expand_real(np.array([[1.0 / (1j * eq.params.Xp)]]))
+    sl = slice(2 * m, 2 * m + 2)
+    keep = [2 * m, 2 * m + 1]
+    drop = [i for i in range(mats.shape[1]) if i not in keep]
+    k_vals = np.empty((len(omega), 2, 2), dtype=complex)
+    kh_vals = np.empty((len(omega), 2, 1), dtype=complex)
+    u_dir = np.zeros(2 * case.n)
+    if disturbance_bus is not None:
+        h = idx[disturbance_bus]
+        phi = math.radians(direction_deg)
+        u_dir[2 * h], u_dir[2 * h + 1] = math.cos(phi), math.sin(phi)
+    u_dir = u_dir[drop]
+    for i in range(len(omega)):
+        mat = mats[i].copy()
+        mat[sl, sl] -= y_motor
+        m_kd = mat[np.ix_(keep, drop)]
+        m_dd = mat[np.ix_(drop, drop)]
+        k_vals[i] = -(mat[np.ix_(keep, keep)]
+                      - m_kd @ np.linalg.solve(m_dd, mat[np.ix_(drop, keep)]))
+        kh_vals[i] = (-m_kd @ np.linalg.solve(m_dd, u_dir))[:, None]
+    return k_vals, kh_vals
+
+
+def load_frf_loop(params, omega, include_motor=True):
+    """The load model's voltage-to-drawn-current response, one frequency
+    at a time."""
+    from loadsysid.freq import _output_conversion
+    from loadsysid.greybox import NoiseConfig, assemble_continuous
+
+    cont = assemble_continuous(params, NoiseConfig())
+    w_v, w_y, w_u = _output_conversion(params, include_motor=include_motor)
+    out = np.empty((len(omega), 2, 2), dtype=complex)
+    for i, w in enumerate(omega):
+        if include_motor:
+            g_pq = cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
+                                            cont.b) + cont.d
+        else:
+            g_pq = np.array([[2.0 * params.Pz / params.V0, 0.0],
+                             [2.0 * params.Qz / params.V0, 0.0]])
+        out[i] = (w_y @ g_pq + w_u) @ w_v
+    return out
+
+
+def load_noise_frf_loop(params, omega, noise):
+    """Internal-disturbance-to-drawn-current response, one frequency at a
+    time."""
+    from loadsysid.freq import _output_conversion
+    from loadsysid.greybox import assemble_continuous
+
+    cont = assemble_continuous(params, noise)
+    _, w_y, _ = _output_conversion(params)
+    out = np.empty((len(omega), 2, cont.g.shape[1]), dtype=complex)
+    for i, w in enumerate(omega):
+        out[i] = w_y @ (cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
+                                                 cont.g) + cont.h)
+    return out
+
+
+def simulate_loop(case, eq, scenario):
+    """``sim.simulate``'s sampled (V, theta, P, Q) record, noise-free, from
+    the integrating-factor trapezoidal step that evaluates the remainder
+    afresh at every step start."""
+    from loadsysid.sim import _noise_sequence, _rhs, linearize_system
+
+    dt = scenario.dt_integration
+    n_sub = int(round(scenario.duration / dt))
+    n_per = scenario.substeps_per_sample
+    e_int = np.zeros(n_sub + 1)
+    xi_ext = np.zeros(n_sub + 1)
+    ext_index, ext_dir = None, 1.0 + 0j
+    for noise, seq in ((scenario.internal, e_int), (scenario.external, xi_ext)):
+        if noise is not None and (noise.variance > 0 or noise.value is not None):
+            seq[:-1] = _noise_sequence(np.random.default_rng(noise.seed), n_sub,
+                                       dt, scenario.dt_sample, noise,
+                                       scenario.duration)
+    if scenario.external is not None:
+        ext_index = case.bus_index()[scenario.external.bus]
+        phi = math.radians(scenario.external.direction_deg)
+        ext_dir = complex(math.cos(phi), math.sin(phi))
+    jac = linearize_system(
+        case, eq,
+        disturbance_bus=scenario.external.bus if scenario.external else None,
+        direction_deg=scenario.external.direction_deg if scenario.external else 0.0,
+    ).a
+    e_h, w0, w1s = van_loan(jac, dt)
+    phi_b = w1s / dt
+    phi_a = w0 - phi_b
+    z_eq = eq.equilibrium_state()
+    p = eq.params
+
+    def remainder(z, e_i, xi):
+        dz, v = _rhs(eq, z, e_i, xi, ext_index, ext_dir)
+        return dz - jac @ (z - z_eq), v
+
+    def sample(z, v):
+        v6, exy = v[-1], z[-3] + 1j * z[-2]
+        return (abs(v6), np.angle(v6),
+                (exy.real * v6.imag - exy.imag * v6.real) / p.Xp,
+                (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp)
+
+    z = z_eq.copy()
+    data = [sample(z, remainder(z, e_int[0], xi_ext[0])[1])]
+    for k in range(n_sub):
+        e_i, xi = e_int[k], xi_ext[k]
+        g0, _ = remainder(z, e_i, xi)
+        base = z_eq + e_h @ (z - z_eq) + phi_a @ g0
+        z_new = base + phi_b @ g0
+        for _ in range(25):
+            g1, _ = remainder(z_new, e_i, xi)
+            z_next = base + phi_b @ g1
+            done = np.max(np.abs(z_next - z_new)) < 1e-13 * (
+                1.0 + np.max(np.abs(z_new)))
+            z_new = z_next
+            if done:
+                break
+        else:
+            raise AssertionError(f"corrector did not converge at step {k}")
+        z = z_new
+        if (k + 1) % n_per == 0:
+            data.append(sample(z, remainder(z, e_int[k + 1], xi_ext[k + 1])[1]))
+    return np.array(data)

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from loadsysid.constants import OMEGA_S
-from loadsysid.errors import ToolkitError
+from loadsysid.errors import FrequencyDomainError, ToolkitError
 from loadsysid.freq import (
     FrequencyResponse,
     closed_loop_response,
@@ -22,6 +22,13 @@ from loadsysid.network import expand_real, load_case, solve_power_flow
 from loadsysid.sim import init_equilibrium, linear_response, linearize_system
 
 from conftest import TRUE_MOTOR
+from loops import (
+    frequency_system,
+    generator_frf_loop,
+    load_frf_loop,
+    load_noise_frf_loop,
+    reduce_to_load_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +139,11 @@ def test_reduction_passive_network_limit(wscc_case, wscc_eq):
 def test_reduction_full_inverse_oracle(wscc_case, wscc_eq, k_and_model):
     """K evaluated via the Schur elimination equals the load block of the
     inverted full frequency-domain system."""
-    from loadsysid.freq import _frequency_system
-
     k, _, _ = k_and_model
     idx = wscc_case.bus_index()
     m = idx[6]
     sl = [2 * m, 2 * m + 1]
-    mats = _frequency_system(wscc_eq, k.omega)
+    mats = frequency_system(wscc_eq, k.omega)
     y_motor = expand_real(np.array([[1.0 / (1j * wscc_eq.params.Xp)]]))
     for i in range(0, len(k.omega), 5):
         mat = mats[i].copy()
@@ -146,6 +151,60 @@ def test_reduction_full_inverse_oracle(wscc_case, wscc_eq, k_and_model):
         inv_block = np.linalg.inv(mat)[np.ix_(sl, sl)]
         k_oracle = -np.linalg.inv(inv_block)
         assert np.max(np.abs(k.values[i] - k_oracle)) < 1e-9
+
+
+def _max_rel_dev(got, want):
+    """Largest deviation per grid point over that point's largest entry."""
+    dev = np.abs(got - want).max(axis=(1, 2))
+    return float(np.max(dev / np.abs(want).max(axis=(1, 2))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_responses_match_loops(wscc_case, wscc_eq, seed):
+    """The once-per-grid reduction and the stacked solves agree with the
+    per-frequency elimination on the full system."""
+    rng = np.random.default_rng(seed)
+    omega = np.unique(np.concatenate([
+        rng.uniform(-80.0, 80.0, 40),
+        rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-9, -3, 4),
+        [0.0],
+    ]))
+    bus, angle = [5, 7, 8][seed], rng.uniform(0.0, 360.0)
+    k, kh = reduce_to_load(wscc_case, wscc_eq, omega, disturbance_bus=bus,
+                           direction_deg=angle)
+    k_loop, kh_loop = reduce_to_load_loop(wscc_case, wscc_eq, omega,
+                                          disturbance_bus=bus,
+                                          direction_deg=angle)
+    assert _max_rel_dev(k.values, k_loop) < 1e-12
+    assert _max_rel_dev(kh.values, kh_loop) < 1e-12
+    for gen_bus in wscc_eq.dyn_gen_buses:
+        args = _gen_quantities(wscc_case, wscc_eq, gen_bus) + (omega,)
+        assert _max_rel_dev(generator_frf(*args), generator_frf_loop(*args)) < 1e-12
+    params = replace(wscc_eq.params, Pz=0.4, Qz=0.1)
+    for include_motor in (True, False):
+        assert _max_rel_dev(load_frf(params, omega, include_motor).values,
+                            load_frf_loop(params, omega, include_motor)) < 1e-12
+    noise = NoiseConfig()
+    assert _max_rel_dev(load_noise_frf(params, omega, noise).values,
+                        load_noise_frf_loop(params, omega, noise)) < 1e-12
+
+
+def test_undamped_generator_fails_at_its_frequency(wscc_case, wscc_eq):
+    """A singular generator response is a typed failure at the first grid
+    point where it occurs, from the generator and from the reduction."""
+    g, e_ph, v_ph = _gen_quantities(wscc_case, wscc_eq, 2)
+    k_delta = (e_ph.real * v_ph.real + e_ph.imag * v_ph.imag) / g.xdp
+    w_n = math.sqrt(OMEGA_S * k_delta / g.tj)
+    omega = np.array([0.5 * w_n, w_n, 1.5 * w_n])
+    undamped = replace(g, damping=0.0)
+    with pytest.raises(FrequencyDomainError) as info:
+        generator_frf(undamped, e_ph, v_ph, omega)
+    assert info.value.omega == w_n
+    case = replace(wscc_case, generators=[
+        undamped if gen.bus == 2 else gen for gen in wscc_case.generators])
+    with pytest.raises(FrequencyDomainError) as info:
+        reduce_to_load(case, wscc_eq, omega)
+    assert info.value.omega == w_n
 
 
 def test_reduction_matches_linear_model_transfers(wscc_case, wscc_eq, k_and_model):
@@ -349,7 +408,5 @@ def test_singular_difference_raises(wscc_case, wscc_eq, k_and_model, grid):
     k, kh, _ = k_and_model
     h = load_noise_frf(wscc_eq.params, grid)
     g_equal_k = FrequencyResponse(grid, k.values.copy())
-    from loadsysid.errors import FrequencyDomainError
-
     with pytest.raises((FrequencyDomainError, ToolkitError)):
         closed_loop_response(k, kh, g_equal_k, h, 1.0, 1.0, grid)

@@ -10,7 +10,9 @@ from loadsysid.errors import EquilibriumError
 from loadsysid.motor import MotorSpec, motor_pq
 from loadsysid.network import load_case, solve_power_flow
 from loadsysid.series import detrend
+from loadsysid import sim
 from loadsysid.sim import (
+    ExternalNoise,
     NoiseWindow,
     Scenario,
     _rhs,
@@ -23,7 +25,7 @@ from loadsysid.sim import (
 from loadsysid.constants import OMEGA_S
 
 from conftest import TRUE_MOTOR
-from loops import linear_response_loop, rhs_full_network
+from loops import linear_response_loop, rhs_full_network, simulate_loop
 
 
 def test_equilibrium_matches_reference_values(wscc_eq):
@@ -238,3 +240,39 @@ def test_measurement_noise_is_seeded(wscc_case, wscc_eq):
     assert np.array_equal(a.data, b.data)
     c = simulate(wscc_case, wscc_eq, replace(sc, measurement_seed=5))
     assert not np.array_equal(a.data, c.data)
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.5, 2.0, seed=3,
+                                                hold_dt=0.01)),
+    Scenario(duration=2.0, external=ExternalNoise(0.002, 0.5, 2.0, seed=4,
+                                                  hold_dt=0.01, bus=8)),
+    Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.5, 2.0, seed=5)),
+    Scenario(duration=2.0, internal=NoiseWindow(0.0, 0.2, 0.5, value=0.05)),
+], ids=["torque-hold-10ms", "bus8-hold-10ms", "hold-dt", "pulse"])
+def test_simulate_matches_substep_loop(wscc_case, wscc_eq, scenario):
+    """Reusing an earlier remainder evaluation at a step start moves the
+    record by no more than rounding."""
+    got = simulate(wscc_case, wscc_eq, scenario).data
+    want = simulate_loop(wscc_case, wscc_eq, scenario)
+    excursion = want.max(axis=0) - want.min(axis=0)
+    assert np.all(excursion > 0)
+    assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * excursion)
+
+
+def test_simulate_rhs_calls_per_substep(wscc_case, wscc_eq, monkeypatch):
+    """``simulate`` reaches ``_rhs`` through the module attribute, and a
+    held disturbance lets most steps start from an earlier evaluation."""
+    calls = [0]
+    rhs = sim._rhs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_rhs", counted)
+    sc = Scenario(duration=2.0,
+                  internal=NoiseWindow(0.002, 0.5, 2.0, seed=1, hold_dt=0.01))
+    simulate(wscc_case, wscc_eq, sc)
+    n_sub = int(round(sc.duration / sc.dt_integration))
+    assert calls[0] <= 2.2 * n_sub
