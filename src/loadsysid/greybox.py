@@ -342,24 +342,17 @@ def open_loop_predictor(disc):
 BLOCK = 32
 
 
-def propagate(a, b, c, d, w):
-    """Zero-state response of a discrete LTI system.
+def lti_operator(a, b, c, d, blk):
+    """Maps of x_{k+1} = A x_k + B w_k, y_k = C x_k + D w_k over ``blk``
+    samples.
 
-    Returns the (N, ny) record y_k = C x_k + D w_k of x_{k+1} = A x_k + B w_k,
-    x_0 = 0, driven by the (N, nw) record ``w``.  The record is cut into
-    blocks of L samples.  Inside a block the forced response is one matmul
-    with the block-Toeplitz matrix of the Markov parameters D, CB, CAB, ...;
-    the block-start states s_j follow s_{j+1} = A^L s_j + (reachability
-    matrix) w_j in a loop of N/L steps, and their free response C A^i s_j is
-    one more matmul.
+    The stacked outputs of a block are ``toeplitz @ w + free @ x_0`` for the
+    stacked inputs ``w``: ``toeplitz`` is block lower triangular in the
+    Markov parameters D, CB, CAB, ... and ``free`` stacks C A^i.  The state
+    after the block is ``a_blk @ x_0 + reach @ w``.  The leading m blocks of
+    ``toeplitz`` and ``free`` are the maps over m < blk samples.
     """
-    w = np.asarray(w, dtype=float)
-    n, nw = w.shape
-    nx, ny = a.shape[0], c.shape[0]
-    if n == 0:
-        return np.empty((0, ny))
-    blk = min(BLOCK, n)
-    nb = -(-n // blk)
+    nx, nw, ny = a.shape[0], b.shape[1], c.shape[0]
     # A^0 .. A^L by doubling.
     powers = np.empty((blk + 1, nx, nx))
     powers[0] = np.eye(nx)
@@ -375,17 +368,37 @@ def propagate(a, b, c, d, w):
                         markov[np.maximum(lag, 0)], 0.0)
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(blk * ny, blk * nw)
     reach = (powers[blk - 1::-1] @ b).transpose(1, 0, 2).reshape(nx, blk * nw)
+    return toeplitz, obs.reshape(blk * ny, nx), reach, powers[blk]
+
+
+def propagate(a, b, c, d, w):
+    """Zero-state response of a discrete LTI system.
+
+    Returns the (N, ny) record y_k = C x_k + D w_k of x_{k+1} = A x_k + B w_k,
+    x_0 = 0, driven by the (N, nw) record ``w``.  The record is cut into
+    blocks of L samples.  Inside a block the forced response is one matmul
+    with the block-Toeplitz matrix of ``lti_operator``; the block-start
+    states s_j follow s_{j+1} = A^L s_j + (reachability matrix) w_j in a
+    loop of N/L steps, and their free response C A^i s_j is one more matmul.
+    """
+    w = np.asarray(w, dtype=float)
+    n, nw = w.shape
+    nx, ny = a.shape[0], c.shape[0]
+    if n == 0:
+        return np.empty((0, ny))
+    blk = min(BLOCK, n)
+    nb = -(-n // blk)
+    toeplitz, free, reach, a_blk = lti_operator(a, b, c, d, blk)
 
     wb = np.zeros((nb * blk, nw))
     wb[:n] = w
     wb = wb.reshape(nb, blk * nw)
     out = wb @ toeplitz.T
     drive = wb @ reach.T
-    a_blk = powers[blk]
     starts = np.zeros((nb, nx))
     for j in range(nb - 1):
         starts[j + 1] = a_blk @ starts[j] + drive[j]
-    out += starts @ obs.reshape(blk * ny, nx).T
+    out += starts @ free.T
     return out.reshape(nb * blk, ny)[:n]
 
 

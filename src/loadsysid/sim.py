@@ -11,7 +11,10 @@ the bus voltages.  The dynamics read only the voltages at the dynamic
 generators and the motor, so the network is reduced once per equilibrium to
 the rows of its inverse at those buses (a Kron reduction); each
 right-hand-side evaluation and the linearization then take the voltages
-from that map with a few vector operations.
+from that map with a few vector operations.  The right-hand side takes one
+state or a stack of them, and the simulator solves the integration steps
+of a window of substeps together, so that one stacked evaluation serves a
+whole window.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
-from loadsysid.greybox import propagate, van_loan
+from loadsysid.greybox import lti_operator, propagate, van_loan
 from loadsysid.motor import (
     LoadParameters,
     motor_pq,
@@ -299,26 +302,33 @@ def init_equilibrium(case, pf, motor_spec):
 
 def _rhs(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None, ext_dir=1.0 + 0j):
     """State derivative and the read-bus voltages (dynamic generators in
-    case order, motor last)."""
+    case order, motor last).
+
+    ``z`` is one state ``(nx,)`` or a stack of states ``(n, nx)``; the
+    disturbances are scalars or one value per state.  The derivative has
+    the shape of ``z``, the voltages ``(n_read,)`` or ``(n, n_read)``.
+    """
     net, p = eq.net, eq.params
-    rot = np.exp(1j * z[:-3:2])
-    w = z[1:-3:2]
-    exp_, eyp, s = z[-3:].tolist()
-    v = net.v_slack + net.z_gen @ rot + net.z_mot * complex(exp_, eyp)
-    if ext_index is not None and xi_ext != 0.0:
-        v += net.z[:, ext_index] * (xi_ext * ext_dir)
-    pe = net.k_pe * (rot * v[:-1].conj()).imag
-    v6 = complex(v[-1])
+    rot = np.exp(1j * z[..., :-3:2])
+    w = z[..., 1:-3:2]
+    exp_, eyp, s = z[..., -3], z[..., -2], z[..., -1]
+    emf = exp_ + 1j * eyp
+    v = net.v_slack + rot @ net.z_gen.T + np.multiply.outer(emf, net.z_mot)
+    if ext_index is not None:
+        v += np.multiply.outer(np.multiply(xi_ext, ext_dir),
+                               net.z[:, ext_index])
+    pe = net.k_pe * (rot * v[..., :-1].conj()).imag
+    v6 = v[..., -1]
     te = (exp_ * v6.imag - eyp * v6.real) / p.Xp
     k_emf = 1.0 / (p.Xp * p.Td0p)
     dz = np.empty_like(z)
-    dz[:-3:2] = OMEGA_S * w
-    dz[1:-3:2] = (net.pm - pe - net.damping * w) / net.tj
-    dz[-3:] = (
-        k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real) + s * OMEGA_S * eyp,
-        k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag) - s * OMEGA_S * exp_,
-        (eq.tm + e_int - te) / p.Tj,
-    )
+    dz[..., :-3:2] = OMEGA_S * w
+    dz[..., 1:-3:2] = (net.pm - pe - net.damping * w) / net.tj
+    dz[..., -3] = (k_emf * (-p.X * exp_ + (p.X - p.Xp) * v6.real)
+                   + s * OMEGA_S * eyp)
+    dz[..., -2] = (k_emf * (-p.X * eyp + (p.X - p.Xp) * v6.imag)
+                   - s * OMEGA_S * exp_)
+    dz[..., -1] = (eq.tm + e_int - te) / p.Tj
     return dz, v
 
 
@@ -497,19 +507,44 @@ def _noise_sequence(rng, n_sub, dt, ts, window, duration):
     return np.repeat(values, per)[:n_sub]
 
 
+# Substeps per window of ``simulate``: the sweeps of a window share one
+# stacked RHS call among its substeps.  40 is two samples at the reference
+# settings.
+WINDOW = 40
+# Sweeps a window of more than one substep gets before it is cut short.  A
+# one-substep window is the corrector: its first sweep is the predictor,
+# then it gets 25 corrector iterations.
+SWEEPS = 8
+CORRECTOR_ITERATIONS = 25
+
+
 def simulate(case, eq, scenario):
     """Nonlinear simulation sampled at the scenario's sample period.
 
     Integration uses an integrating-factor trapezoidal step: the dynamics
     are split into the exact linear propagation of the equilibrium Jacobian
-    plus a trapezoidal correction for the nonlinear remainder, so the step
-    is exact for the linearized system and second order in the remainder.
-    Disturbances are held constant over each integration substep.
+    plus a trapezoidal correction for the nonlinear remainder
+    ``g(z, d) = f(z, d) - J (z - z_eq)``, so the step is exact for the
+    linearized system and second order in the remainder.  Disturbances are
+    held constant over each integration substep.
 
-    A step needs the remainder at its start.  After a sample it reuses the
-    sample-time evaluation, which is at the same state and disturbance;
-    otherwise, while the disturbance is held at the same value, it reuses
-    the previous step's last corrector evaluation.
+    The steps of a window of ``WINDOW`` substeps are solved together by
+    fixed-point sweeps (waveform relaxation).  A sweep evaluates ``g`` at
+    the start and end state of every step of the window in one stacked
+    ``_rhs`` call, each with its step's held disturbance ``d_k``, and
+    propagates ``x_{k+1} = e^{Jh} x_k + phi_a g(z_k, d_k) + phi_b
+    g(z_{k+1}, d_k)`` from the window's start with one block
+    lower-triangular operator.  A window has converged when every substep
+    moved by less than 1e-13 (1 + |z|) in the last sweep.  A window that
+    has not after ``SWEEPS`` sweeps is split: it keeps its converged
+    leading substeps, and the next window is twice that long, at most
+    ``WINDOW`` and at least one substep.  A one-substep window is the
+    single step's predictor and corrector, with the corrector's
+    25-iteration cap.  A step that does not converge there, or that leaves
+    the slip outside (0, 1), raises ``SimulationError`` at its end time.
+    The sample-time voltages come from one stacked ``_rhs`` call on the
+    sample states.  ``meta`` counts the windows solved, the sweeps, the
+    splits and the states passed to ``_rhs``.
     """
     dt = scenario.dt_integration
     n_sub = int(round(scenario.duration / dt))
@@ -544,68 +579,81 @@ def simulate(case, eq, scenario):
     e_h, w0, w1s = van_loan(jac, dt)
     phi_b = w1s / dt           # weight of the remainder at the step end
     phi_a = w0 - phi_b         # weight at the step start
+    nx = jac.shape[0]
+    eye = np.eye(nx)
+    # A window's states x_1..x_m are the outputs y_k = e_h x_k + F_k of
+    # x_{k+1} = e_h x_k + F_k from its start state x_0.
+    forced, free, _, _ = lti_operator(e_h, eye, e_h, eye, WINDOW)
 
     z_eq = eq.equilibrium_state()
-    p = eq.params
-
-    def remainder(z, e_i, xi):
-        dz, v = _rhs(eq, z, e_i, xi, ext_index, ext_dir)
-        return dz - jac @ (z - z_eq), v
-
     n_samples = n_sub // n_per + 1
-    time = np.empty(n_samples)
-    data = np.empty((n_samples, 4))
-
-    def record(k_sample, t, z, v):
-        v6 = v[-1]
-        exy = z[-3] + 1j * z[-2]
-        pm = (exy.real * v6.imag - exy.imag * v6.real) / p.Xp
-        qm = (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp
-        time[k_sample] = t
-        data[k_sample] = (abs(v6), np.angle(v6), pm, qm)
-
-    z = z_eq.copy()
-    g0, v = remainder(z, e_int.item(0), xi_ext.item(0))
-    record(0, 0.0, z, v)
-    k_sample = 1
-    for k in range(n_sub):
-        e_i, xi = e_int.item(k), xi_ext.item(k)
-        if g0 is None:
-            g0, _ = remainder(z, e_i, xi)
-        base = z_eq + e_h @ (z - z_eq) + phi_a @ g0
-        z_new = base + phi_b @ g0
-        for _ in range(25):
-            g1, _ = remainder(z_new, e_i, xi)
-            z_next = base + phi_b @ g1
-            converged = (abs(z_next - z_new).max()
-                         < 1e-13 * (1.0 + abs(z_new).max()))
-            z_new = z_next
-            if converged:
+    samples = np.empty((n_samples, nx))
+    samples[0] = z_eq
+    x0 = np.zeros(nx)          # deviation from z_eq at the window start
+    k = 0
+    size = WINDOW
+    windows = sweeps = splits = rhs_rows = 0
+    while k < n_sub:
+        m = min(size, n_sub - k)
+        e2 = np.tile(e_int[k:k + m], 2)
+        xi2 = np.tile(xi_ext[k:k + m], 2)
+        x = np.broadcast_to(x0, (m + 1, nx))
+        for _ in range(SWEEPS if m > 1 else 1 + CORRECTOR_ITERATIONS):
+            xs = np.concatenate((x[:-1], x[1:]))
+            zs = z_eq + xs
+            g = _rhs(eq, zs, e2, xi2, ext_index, ext_dir)[0] - xs @ jac.T
+            f = g[:m] @ phi_a.T + g[m:] @ phi_b.T
+            x_new = np.empty((m + 1, nx))
+            x_new[0] = x0
+            x_new[1:] = (forced[:m * nx, :m * nx] @ f.reshape(-1)
+                         + free[:m * nx] @ x0).reshape(m, nx)
+            sweeps += 1
+            rhs_rows += 2 * m
+            done = (abs(x_new[1:] - x[1:]).max(axis=1)
+                    < 1e-13 * (1.0 + abs(zs[m:]).max(axis=1)))
+            x = x_new
+            if done.all():
                 break
         else:
-            raise SimulationError(
-                f"corrector did not converge at t={(k + 1) * dt:.4f}s",
-                t=(k + 1) * dt,
-            )
-        z = z_new
-        if not (0.0 < z[-1] < 1.0):
-            raise SimulationError(
-                f"slip left (0, 1) at t={(k + 1) * dt:.4f}s", t=(k + 1) * dt
-            )
-        e_i1, xi1 = e_int.item(k + 1), xi_ext.item(k + 1)
-        if (k + 1) % n_per == 0:
-            # Sample with the disturbance value active from this instant on,
-            # matching the zero-order-hold convention of the linear model.
-            # The next step starts from this very evaluation.
-            g0, v = remainder(z, e_i1, xi1)
-            record(k_sample, (k + 1) * dt, z, v)
-            k_sample += 1
-        elif e_i1 != e_i or xi1 != xi:
-            g0 = None
-        else:
-            # Same held disturbance: the corrector's last evaluation, taken
-            # within its tolerance of the new state, starts the next step.
-            g0 = g1
+            if m == 1:
+                raise SimulationError(
+                    f"corrector did not converge at t={(k + 1) * dt:.4f}s",
+                    t=(k + 1) * dt,
+                )
+            # Substep j depends only on substeps 0..j, so the converged
+            # leading substeps are the solution of a window that short.
+            m = int(done.argmin())
+            splits += 1
+        size = min(WINDOW, max(1, 2 * m))
+        if m == 0:
+            continue
+        slip = z_eq[-1] + x[1:m + 1, -1]
+        bad = np.flatnonzero(~((0.0 < slip) & (slip < 1.0)))
+        if bad.size:
+            t = (k + 1 + int(bad[0])) * dt
+            raise SimulationError(f"slip left (0, 1) at t={t:.4f}s", t=t)
+        first = -(-(k + 1) // n_per)
+        rows = np.arange(first * n_per, k + m + 1, n_per)
+        samples[first:first + len(rows)] = z_eq + x[rows - k]
+        x0 = x[m]
+        windows += 1
+        k += m
+
+    # Sample with the disturbance value active from each sample instant on,
+    # matching the zero-order-hold convention of the linear model.
+    v = _rhs(eq, samples, e_int[::n_per], xi_ext[::n_per], ext_index,
+             ext_dir)[1]
+    rhs_rows += n_samples
+    p = eq.params
+    v6 = v[:, -1]
+    exy = samples[:, -3] + 1j * samples[:, -2]
+    data = np.column_stack((
+        abs(v6),
+        np.angle(v6),
+        (exy.real * v6.imag - exy.imag * v6.real) / p.Xp,
+        (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp,
+    ))
+    time = np.arange(n_samples) * n_per * dt
 
     mvar = np.broadcast_to(np.asarray(scenario.measurement_variance, float), (4,))
     if np.any(mvar > 0):
@@ -620,5 +668,9 @@ def simulate(case, eq, scenario):
         "seed_external": scenario.external.seed if scenario.external else None,
         "measurement_variance": tuple(np.broadcast_to(
             np.asarray(scenario.measurement_variance, float), (4,)).tolist()),
+        "windows": windows,
+        "sweeps": sweeps,
+        "splits": splits,
+        "rhs_rows": rhs_rows,
     }
     return MeasurementSeries(ts=scenario.dt_sample, time=time, data=data, meta=meta)

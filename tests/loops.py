@@ -5,7 +5,8 @@ The per-sample loops are the straightforward recursions that
 ``sim.linear_response``.  ``rhs_full_network`` is the simulator right-hand
 side solved on the whole network, which ``sim._rhs`` replaces with the
 reduced network map, and ``simulate_loop`` is ``sim.simulate``'s step
-with the remainder evaluated afresh at every step start.  The frequency
+solved one substep at a time, which ``sim.simulate`` replaces with
+fixed-point sweeps over windows of substeps.  The frequency
 loops solve one frequency at a time: ``reduce_to_load_loop`` eliminates
 everything but the motor bus from the full system of ``frequency_system``,
 which ``freq.reduce_to_load`` replaces with one constant Kron reduction and
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from loadsysid.constants import OMEGA_S
+from loadsysid.errors import SimulationError
 from loadsysid.greybox import van_loan
 from loadsysid.network import expand_real
 
@@ -220,8 +222,10 @@ def load_noise_frf_loop(params, omega, noise):
 
 def simulate_loop(case, eq, scenario):
     """``sim.simulate``'s sampled (V, theta, P, Q) record, noise-free, from
-    the integrating-factor trapezoidal step that evaluates the remainder
-    afresh at every step start."""
+    the integrating-factor trapezoidal step solved one substep at a time,
+    with the remainder evaluated afresh at every step start.  A step whose
+    corrector does not converge in 25 iterations, or that leaves the slip
+    outside (0, 1), raises ``SimulationError`` at the step's end time."""
     from loadsysid.sim import _noise_sequence, _rhs, linearize_system
 
     dt = scenario.dt_integration
@@ -276,8 +280,13 @@ def simulate_loop(case, eq, scenario):
             if done:
                 break
         else:
-            raise AssertionError(f"corrector did not converge at step {k}")
+            raise SimulationError(
+                f"corrector did not converge at t={(k + 1) * dt:.4f}s",
+                t=(k + 1) * dt)
         z = z_new
+        if not (0.0 < z[-1] < 1.0):
+            raise SimulationError(f"slip left (0, 1) at t={(k + 1) * dt:.4f}s",
+                                  t=(k + 1) * dt)
         if (k + 1) % n_per == 0:
             data.append(sample(z, remainder(z, e_int[k + 1], xi_ext[k + 1])[1]))
     return np.array(data)
