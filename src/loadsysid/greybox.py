@@ -37,9 +37,17 @@ FREE_ALL = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
 
+# Why the identification objective returned its penalty for a candidate,
+# counted in ``IdentResult.meta["penalties"]``.
+PENALTY_CAUSES = ("invalid_parameters", "unstable_predictor", "riccati",
+                  "non_finite")
+
 
 @dataclass
 class GreyBoxContinuous:
+    """Continuous model; every matrix may carry one leading candidate axis
+    (a stack of models of equal shape)."""
+
     a: np.ndarray  # 3x3
     b: np.ndarray  # 3x2
     c: np.ndarray  # 2x3
@@ -48,19 +56,22 @@ class GreyBoxContinuous:
     h: np.ndarray  # 2xm disturbance feedthrough
 
     def __post_init__(self):
-        shapes = (self.a.shape, self.b.shape, self.c.shape, self.d.shape)
+        shapes = tuple(m.shape[-2:] for m in (self.a, self.b, self.c, self.d))
         if shapes != ((3, 3), (3, 2), (2, 3), (2, 2)):
             raise ToolkitError(f"bad grey-box dimensions {shapes}")
-        for m in (self.a, self.b, self.c, self.d, self.g, self.h):
-            if not np.all(np.isfinite(m)):
-                raise ToolkitError("non-finite grey-box matrix entry")
+        # A NaN or infinite entry makes its matrix's sum non-finite.
+        if not math.isfinite(sum(float(m.sum()) for m in (
+                self.a, self.b, self.c, self.d, self.g, self.h))):
+            raise ToolkitError("non-finite grey-box matrix entry")
 
 
 @dataclass
 class GreyBoxDiscrete:
     """Sampled model.  ``bd`` is the total zero-order-hold input matrix;
     when ``bd_ramp`` is set the state update adds bd_ramp (u(k+1) - u(k)),
-    the first-order-hold correction for smooth intersample inputs."""
+    the first-order-hold correction for smooth intersample inputs.  As for
+    ``GreyBoxContinuous``, the matrices may carry a leading candidate
+    axis."""
 
     ad: np.ndarray
     bd: np.ndarray
@@ -115,6 +126,9 @@ class NoiseConfig:
 
 @dataclass
 class InnovationPredictor:
+    """Steady-state one-step predictor; stacked like its discrete model
+    (``residual`` is then one value per candidate)."""
+
     kd: np.ndarray
     p: np.ndarray
     ad_k: np.ndarray  # Ad - Kd Cd
@@ -125,8 +139,13 @@ class InnovationPredictor:
     ts: float
     innovation_cov: np.ndarray | None = None
 
-    def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.ad_k))))
+
+def _take(stack, index):
+    """The candidates ``index`` (an int or an index array) of a stacked
+    model or predictor; ``np.newaxis`` makes one model a stack of one."""
+    return type(stack)(**{
+        name: value[index] if isinstance(value, np.ndarray) else value
+        for name, value in vars(stack).items()})
 
 
 @dataclass
@@ -205,18 +224,20 @@ def van_loan(a, ts):
     e^{A(ts-s)} s ds from one exponential of a triple block matrix (Van
     Loan, IEEE TAC 1978), all robust to singular A.  A held input f adds
     W0 f to the state; an input ramping from f0 to f1 adds
-    (W0 - W1s/ts) f0 + (W1s/ts) f1.
+    (W0 - W1s/ts) f0 + (W1s/ts) f1.  ``a`` may be a stack (..., n, n);
+    each slice gets its own exponential.
     """
     if ts <= 0:
         raise ToolkitError(f"sample period must be positive, got {ts}")
-    nx = a.shape[0]
+    nx = a.shape[-1]
     eye = np.eye(nx)
-    m = np.zeros((3 * nx, 3 * nx))
-    m[:nx, :nx] = a * ts
-    m[:nx, nx:2 * nx] = eye * ts
-    m[nx:2 * nx, 2 * nx:] = eye * ts
+    m = np.zeros(a.shape[:-2] + (3 * nx, 3 * nx))
+    m[..., :nx, :nx] = a * ts
+    m[..., :nx, nx:2 * nx] = eye * ts
+    m[..., nx:2 * nx, 2 * nx:] = eye * ts
     phi = expm(m)
-    return phi[:nx, :nx], phi[:nx, nx:2 * nx], phi[:nx, 2 * nx:]
+    return (phi[..., :nx, :nx], phi[..., :nx, nx:2 * nx],
+            phi[..., :nx, 2 * nx:])
 
 
 def discretize_zoh(cont, ts, input_hold="zoh"):
@@ -244,89 +265,141 @@ def discretize_zoh(cont, ts, input_hold="zoh"):
     )
 
 
-def dare_step(p, ad, cd, nbar, rbar, qbar):
-    """One fixed-point application of the Riccati map."""
-    s = cd @ p @ cd.T + rbar
-    k = np.linalg.solve(s.T, (ad @ p @ cd.T + nbar).T).T
-    return ad @ p @ ad.T - k @ (ad @ p @ cd.T + nbar).T + qbar
+def _t(m):
+    return m.swapaxes(-1, -2)
+
+
+def _sq(m):
+    """Squared Frobenius norm of each matrix of a stack."""
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
+    return np.vecdot(flat, flat)
+
+
+def _solve_each(m, rhs):
+    """``np.linalg.solve`` over a stack; a singular slice gets NaN instead
+    of failing the whole stack."""
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(m)):
+            try:
+                out[i] = np.linalg.solve(m[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
+    """Steady-state Kalman predictors of a stack of discrete models.
+
+    Returns ``(pred, failures)``: ``pred`` stacks the predictors and
+    ``failures`` holds, per candidate, None or the typed error it failed
+    with (its slice of ``pred`` is then meaningless).  The disturbance and
+    the input measurement noise enter as one stacked [Gd, Bd] / [Hd, Dd]
+    channel; their cross covariance is absorbed into the transformed filter
+    Riccati equation, which the structure-preserving doubling iteration
+    solves.
+    Each doubling step is one solve with I + G H (G and H are symmetric,
+    so (I + H G)^-1 H = H (I + G H)^-1), and a slice stops iterating once
+    it has converged.
+    """
+    ad, cd = disc.ad, disc.cd
+    k, nx = ad.shape[0], ad.shape[-1]
+    failures = [None] * k
+    m = noise.m
+    wcov = np.zeros((m + 2, m + 2))
+    wcov[:m, :m] = noise.q
+    wcov[m:, m:] = np.diag(noise.input_variance)
+    gb = np.concatenate([disc.gd, disc.bd], axis=-1)
+    hb = np.concatenate([disc.hd, disc.dd], axis=-1)
+    gw = gb @ wcov
+    nbar = gw @ _t(hb)
+    rbar = noise.rm + hb @ wcov @ _t(hb)
+    qbar = gw @ _t(gb)
+
+    with np.errstate(all="ignore"):
+        lam = np.abs(np.linalg.eigvalsh(rbar))
+        singular = ~(lam[:, 0] > 1e-14 * lam[:, -1])
+        idx = np.flatnonzero(~singular)
+        for i in np.flatnonzero(singular):
+            failures[i] = RiccatiError("effective measurement covariance is "
+                                       "singular; raise the Rm floor")
+        rbar_inv = np.linalg.inv(np.where(singular[:, None, None],
+                                          np.eye(rbar.shape[-1]), rbar))
+        nr = nbar @ rbar_inv
+        a = _t(ad - nr @ cd)[idx]
+        g = (_t(cd) @ rbar_inv @ cd)[idx]
+        h = (qbar - nr @ _t(nbar))[idx]
+        h_done = np.full((k, nx, nx), np.nan)
+        eye = np.eye(nx)
+        for _ in range(max_iter):
+            if not idx.size:
+                break
+            xy = _solve_each(eye + g @ h,
+                             np.concatenate([a, g @ _t(a)], axis=-1))
+            change = _t(a) @ (h @ xy[..., :nx])
+            step = _sq(change)
+            h = h + change
+            axy = a @ xy
+            a, g = axy[..., :nx], g + axy[..., nx:]
+            stop = ~(step > tol * tol * np.maximum(1.0, _sq(h)))
+            if stop.any():
+                for i in idx[stop & ~np.isfinite(step)]:
+                    failures[i] = RiccatiError("doubling iteration broke down")
+                h_done[idx[stop]] = h[stop]
+                idx, a, g, h = idx[~stop], a[~stop], g[~stop], h[~stop]
+        for i in idx:
+            failures[i] = RiccatiError(
+                f"Riccati iteration did not converge in {max_iter} steps")
+
+        p = 0.5 * (h_done + _t(h_done))
+        s = cd @ p @ _t(cd) + rbar
+        cross = ad @ p @ _t(cd) + nbar
+        kd = _t(_solve_each(_t(s), _t(cross)))
+        residual = np.sqrt(_sq(p - (ad @ p @ _t(ad) - kd @ _t(cross) + qbar)))
+        ad_k = ad - kd @ cd
+        good = residual <= 1e-9
+        rho = np.full(k, np.inf)
+        p_min = np.zeros(k)
+        if good.any():
+            rho[good] = np.abs(np.linalg.eigvals(ad_k[good])).max(axis=-1)
+            p_min[good] = np.linalg.eigvalsh(p[good])[:, 0]
+    for i in range(k):
+        if failures[i] is not None:
+            continue
+        if not good[i]:
+            failures[i] = RiccatiError(
+                "Riccati iteration did not converge "
+                f"(residual {residual[i]:.3e})")
+        elif rho[i] >= 1.0:
+            failures[i] = UnstablePredictorError(
+                f"predictor spectral radius {rho[i]:.6f} is not stable")
+        elif p_min[i] < -1e-10 * max(1.0, math.sqrt(_sq(p[i]))):
+            failures[i] = RiccatiError(
+                "Riccati solution is not positive semidefinite")
+    pred = InnovationPredictor(
+        kd=kd, p=p, ad_k=ad_k, bd_k=disc.bd - kd @ disc.dd, cd=cd,
+        dd=disc.dd, residual=residual, ts=disc.ts, innovation_cov=s)
+    return pred, failures
 
 
 def solve_dare(disc, noise, tol=1e-12, max_iter=120):
-    """Stabilizing solution of the steady-state Riccati equation.
-
-    Uses the structure-preserving doubling iteration after absorbing the
-    cross covariance of the disturbance feedthrough, then forms the
-    steady-state Kalman gain.
-    """
-    ad, cd, gd, hd = disc.ad, disc.cd, disc.gd, disc.hd
-    q, rm = noise.q, noise.rm
-    nbar = gd @ q @ hd.T
-    rbar = rm + hd @ q @ hd.T
-    qbar = gd @ q @ gd.T
-    if any(v > 0 for v in noise.input_variance):
-        siu = np.diag(noise.input_variance)
-        nbar = nbar + disc.bd @ siu @ disc.dd.T
-        rbar = rbar + disc.dd @ siu @ disc.dd.T
-        qbar = qbar + disc.bd @ siu @ disc.bd.T
-    if np.linalg.cond(rbar) > 1e14:
-        raise RiccatiError(
-            "effective measurement covariance is singular; raise the Rm floor"
-        )
-    rbar_inv = np.linalg.inv(rbar)
-    a_hat = ad - nbar @ rbar_inv @ cd
-    q_hat = qbar - nbar @ rbar_inv @ nbar.T
-
-    # Doubling iteration on the transformed filter Riccati equation.
-    a_k = a_hat.T.copy()
-    g_k = cd.T @ rbar_inv @ cd
-    h_k = q_hat.copy()
-    eye = np.eye(ad.shape[0])
-    converged = False
-    for _ in range(max_iter):
-        try:
-            w_inv_a = np.linalg.solve(eye + g_k @ h_k, a_k)
-        except np.linalg.LinAlgError as exc:
-            raise RiccatiError(f"doubling iteration broke down: {exc}") from exc
-        h_next = h_k + a_k.T @ np.linalg.solve(eye + h_k @ g_k, h_k @ a_k)
-        g_next = g_k + a_k @ np.linalg.solve(eye + g_k @ h_k, g_k @ a_k.T)
-        a_next = a_k @ w_inv_a
-        step = np.linalg.norm(h_next - h_k)
-        h_k, g_k, a_k = h_next, g_next, a_next
-        if step <= tol * max(1.0, np.linalg.norm(h_k)):
-            converged = True
-            break
-    p = 0.5 * (h_k + h_k.T)
-    residual = float(np.linalg.norm(p - dare_step(p, ad, cd, nbar, rbar, qbar)))
-    if not converged or residual > 1e-9:
-        raise RiccatiError(
-            f"Riccati iteration did not converge (residual {residual:.3e})"
-        )
-    s = cd @ p @ cd.T + rbar
-    kd = np.linalg.solve(s.T, (ad @ p @ cd.T + nbar).T).T
-    ad_k = ad - kd @ cd
-    rho = float(np.max(np.abs(np.linalg.eigvals(ad_k))))
-    if rho >= 1.0:
-        raise UnstablePredictorError(
-            f"predictor spectral radius {rho:.6f} is not stable")
-    if np.min(np.linalg.eigvalsh(p)) < -1e-10 * max(1.0, np.linalg.norm(p)):
-        raise RiccatiError("Riccati solution is not positive semidefinite")
-    return InnovationPredictor(
-        kd=kd,
-        p=p,
-        ad_k=ad_k,
-        bd_k=disc.bd - kd @ disc.dd,
-        cd=cd.copy(),
-        dd=disc.dd.copy(),
-        residual=residual,
-        ts=disc.ts,
-        innovation_cov=s,
-    )
+    """Stabilizing solution of the steady-state Riccati equation of one
+    discrete model and its Kalman predictor: ``riccati_predictors`` on a
+    stack of one.  Raises the candidate's typed error."""
+    pred, failures = riccati_predictors(_take(disc, np.newaxis), noise, tol,
+                                        max_iter)
+    if failures[0] is not None:
+        raise failures[0]
+    pred = _take(pred, 0)
+    return replace(pred, residual=float(pred.residual))
 
 
 def open_loop_predictor(disc):
     """Predictor with zero gain: the pure simulation of the discrete model."""
     return InnovationPredictor(
-        kd=np.zeros((disc.ad.shape[0], disc.cd.shape[0])),
+        kd=np.zeros(disc.ad.shape[:-1] + disc.cd.shape[-2:-1]),
         p=np.zeros_like(disc.ad),
         ad_k=disc.ad.copy(),
         bd_k=disc.bd.copy(),
@@ -350,25 +423,38 @@ def lti_operator(a, b, c, d, blk):
     stacked inputs ``w``: ``toeplitz`` is block lower triangular in the
     Markov parameters D, CB, CAB, ... and ``free`` stacks C A^i.  The state
     after the block is ``a_blk @ x_0 + reach @ w``.  The leading m blocks of
-    ``toeplitz`` and ``free`` are the maps over m < blk samples.
+    ``toeplitz`` and ``free`` are the maps over m < blk samples.  The
+    matrices may carry broadcasting leading axes (a stack of systems).
     """
-    nx, nw, ny = a.shape[0], b.shape[1], c.shape[0]
+    nx, nw, ny = a.shape[-1], b.shape[-1], c.shape[-2]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], c.shape[:-2],
+                               d.shape[:-2])
     # A^0 .. A^L by doubling.
-    powers = np.empty((blk + 1, nx, nx))
-    powers[0] = np.eye(nx)
+    powers = np.empty(a.shape[:-2] + (blk + 1, nx, nx))
+    powers[..., 0, :, :] = np.eye(nx)
     done = 1
     while done <= blk:
         step = min(done, blk + 1 - done)
-        powers[done:done + step] = powers[:step] @ (powers[done - 1] @ a)
+        powers[..., done:done + step, :, :] = (
+            powers[..., :step, :, :]
+            @ (powers[..., done - 1, :, :] @ a)[..., None, :, :])
         done += step
-    obs = c @ powers[:blk]                       # C A^i, (L, ny, nx)
-    markov = np.concatenate([d[None], obs[:-1] @ b])  # D, CB, CAB, ...
-    lag = np.subtract.outer(np.arange(blk), np.arange(blk))
-    toeplitz = np.where((lag >= 0)[:, :, None, None],
-                        markov[np.maximum(lag, 0)], 0.0)
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(blk * ny, blk * nw)
-    reach = (powers[blk - 1::-1] @ b).transpose(1, 0, 2).reshape(nx, blk * nw)
-    return toeplitz, obs.reshape(blk * ny, nx), reach, powers[blk]
+    obs = c[..., None, :, :] @ powers[..., :blk, :, :]  # C A^i, (L, ny, nx)
+    # [0 .. 0, D, CB, CAB, ...]: block (i, j) of the Toeplitz matrix is
+    # entry blk - 1 + i - j, read through a strided view.
+    seq = np.zeros(lead + (2 * blk - 1, ny, nw))
+    seq[..., blk - 1, :, :] = d
+    seq[..., blk:, :, :] = obs[..., :-1, :, :] @ b[..., None, :, :]
+    st = seq.strides
+    toeplitz = np.ndarray(
+        lead + (blk, ny, blk, nw), buffer=seq, offset=(blk - 1) * st[-3],
+        strides=st[:-3] + (st[-3], st[-2], -st[-3], st[-1]),
+    ).reshape(lead + (blk * ny, blk * nw))
+    reach = np.moveaxis(powers[..., blk - 1::-1, :, :] @ b[..., None, :, :],
+                        -3, -2)
+    return (toeplitz, obs.reshape(obs.shape[:-3] + (blk * ny, nx)),
+            reach.reshape(reach.shape[:-3] + (nx, blk * nw)),
+            powers[..., blk, :, :])
 
 
 def propagate(a, b, c, d, w):
@@ -380,26 +466,32 @@ def propagate(a, b, c, d, w):
     with the block-Toeplitz matrix of ``lti_operator``; the block-start
     states s_j follow s_{j+1} = A^L s_j + (reachability matrix) w_j in a
     loop of N/L steps, and their free response C A^i s_j is one more matmul.
+    The matrices and ``w`` may carry broadcasting leading axes: a stack of
+    systems gives a stack of records, and the loop steps all of them.
     """
     w = np.asarray(w, dtype=float)
-    n, nw = w.shape
-    nx, ny = a.shape[0], c.shape[0]
+    n, nw = w.shape[-2:]
+    nx, ny = a.shape[-1], c.shape[-2]
     if n == 0:
-        return np.empty((0, ny))
+        return np.empty(np.broadcast_shapes(
+            a.shape[:-2], b.shape[:-2], c.shape[:-2], d.shape[:-2],
+            w.shape[:-2]) + (0, ny))
     blk = min(BLOCK, n)
     nb = -(-n // blk)
     toeplitz, free, reach, a_blk = lti_operator(a, b, c, d, blk)
 
-    wb = np.zeros((nb * blk, nw))
-    wb[:n] = w
-    wb = wb.reshape(nb, blk * nw)
-    out = wb @ toeplitz.T
-    drive = wb @ reach.T
-    starts = np.zeros((nb, nx))
+    wb = np.zeros(w.shape[:-2] + (nb * blk, nw))
+    wb[..., :n, :] = w
+    wb = wb.reshape(w.shape[:-2] + (nb, blk * nw))
+    out = wb @ _t(toeplitz)
+    # Block index first, so that each step of the loop reads one slab.
+    drive = np.moveaxis(wb @ _t(reach), -2, 0)[..., None]
+    starts = np.zeros(drive.shape[:1] + np.broadcast_shapes(
+        drive.shape[1:-2], a_blk.shape[:-2]) + (nx, 1))
     for j in range(nb - 1):
         starts[j + 1] = a_blk @ starts[j] + drive[j]
-    out += starts @ free.T
-    return out.reshape(nb * blk, ny)[:n]
+    out = out + np.moveaxis(starts[..., 0], 0, -2) @ _t(free)
+    return out.reshape(out.shape[:-2] + (nb * blk, ny))[..., :n, :]
 
 
 def predict(pred, disc, u, y=None, ts=None):
@@ -409,7 +501,8 @@ def predict(pred, disc, u, y=None, ts=None):
     also be a detrended MeasurementSeries, in which case both are extracted.
     The predictor is one ``propagate`` call on A - K C with the inputs
     [u, y] and, under first-order hold, the input increment u(k+1) - u(k)
-    (zero on the last sample) through the ramp matrix.
+    (zero on the last sample) through the ramp matrix.  A stacked predictor
+    gives stacked predictions and innovations of the one record.
     """
     if hasattr(u, "deltas"):
         series = u
@@ -431,9 +524,10 @@ def predict(pred, disc, u, y=None, ts=None):
         du[:-1] = np.diff(u, axis=0)
         b.append(ramp)
         w.append(du)
-    d = np.zeros((pred.dd.shape[0], sum(m.shape[1] for m in b)))
-    d[:, :u.shape[1]] = pred.dd
-    yhat = propagate(pred.ad_k, np.hstack(b), pred.cd, d, np.hstack(w))
+    d = np.zeros(pred.dd.shape[:-1] + (sum(m.shape[-1] for m in b),))
+    d[..., :u.shape[1]] = pred.dd
+    yhat = propagate(pred.ad_k, np.concatenate(b, axis=-1), pred.cd, d,
+                     np.hstack(w))
     return yhat, y - yhat
 
 
@@ -453,11 +547,13 @@ def simulate_discrete(disc, u, e=None, v=None):
 
 
 def loss(innovations):
-    """Mean squared two-norm of the per-sample innovations."""
+    """Mean squared two-norm of the per-sample innovations (one value per
+    record of a stack)."""
     eps = np.asarray(innovations, dtype=float)
     if eps.size == 0:
         raise ToolkitError("empty innovation sequence")
-    return float(np.mean(np.sum(eps**2, axis=1)))
+    out = np.mean(np.sum(eps**2, axis=-1), axis=-1)
+    return float(out) if eps.ndim == 2 else out
 
 
 def fit_percent(y, yhat):
@@ -481,38 +577,97 @@ def _series_arrays(series):
     return u, y, v0, theta0
 
 
-def gaussian_criterion(eps, pred, noise):
+def gaussian_criterion(eps, s):
     """Innovation-form Gaussian negative log-likelihood rate (constants
-    dropped): mean of eps' S^-1 eps plus log det S, with S the model-implied
-    innovation covariance.  The log-det term charges a model for claiming a
-    larger innovation floor than its predictions achieve, which pins the
-    noise-path parameters that the plain quadratic loss leaves free."""
-    s = pred.innovation_cov
-    if s is None:
-        s = pred.cd @ pred.p @ pred.cd.T + noise.rm
-    s_inv = np.linalg.inv(s)
+    dropped) of innovations ``eps`` (..., N, ny) under the model-implied
+    innovation covariance ``s``: trace(S^-1 E'E)/N + log det S, the mean of
+    eps' S^-1 eps plus log det S.  The log-det term charges a model for
+    claiming a larger innovation floor than its predictions achieve, which
+    pins the noise-path parameters that the plain quadratic loss leaves
+    free.  Returns the criterion and the sign of det S (not positive: S is
+    not positive definite and the criterion is meaningless)."""
     sign, logdet = np.linalg.slogdet(s)
-    if sign <= 0:
-        raise RiccatiError("innovation covariance is not positive definite")
-    e = np.asarray(eps, dtype=float)
-    return float(np.mean(np.einsum("ki,ij,kj->k", e, s_inv, e)) + logdet)
+    quad = np.trace(_solve_each(s, _t(eps) @ eps), axis1=-2, axis2=-1)
+    return quad / eps.shape[-2] + logdet, sign
+
+
+def evaluate_candidates(params_list, noise, u, y, ts, burn_in,
+                        output_error=False):
+    """Assemble, discretize, solve the gain and run the predictor for a
+    list of candidates as one stacked chain.
+
+    Returns one entry per candidate: either (criterion, quadratic loss,
+    predictions, innovations, predictor) or the typed error the candidate
+    failed with (``CaseValidationError`` for invalid parameters,
+    ``UnstablePredictorError``, ``RiccatiError``, ``ToolkitError`` for a
+    non-finite continuous model).  The criterion is the Gaussian likelihood rate for
+    the innovation predictor and the plain quadratic loss for the
+    output-error baseline, which has no stochastic model.  A candidate
+    whose predictions overflow gets a non-finite criterion, without a
+    floating-point warning.
+    """
+    out = [None] * len(params_list)
+    conts, index = [], []
+    for i, params in enumerate(params_list):
+        try:
+            conts.append(assemble_continuous(params, noise))
+            index.append(i)
+        except ToolkitError as exc:
+            out[i] = exc
+    if not conts:
+        return out
+    cont = GreyBoxContinuous(**{name: np.array([vars(c)[name] for c in conts])
+                                for name in vars(conts[0])})
+    disc = discretize_zoh(cont, ts, input_hold="foh")
+    if output_error:
+        pred, ok = open_loop_predictor(disc), np.arange(len(conts))
+    else:
+        pred, failures = riccati_predictors(disc, noise)
+        for i, exc in zip(index, failures):
+            out[i] = exc
+        ok = np.array([j for j, exc in enumerate(failures) if exc is None],
+                      dtype=int)
+        if not ok.size:
+            return out
+        if ok.size < len(conts):
+            disc, pred = _take(disc, ok), _take(pred, ok)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat, eps = predict(pred, disc, u, y)
+        quad = loss(eps[:, burn_in:])
+        if output_error:
+            crit, sign = quad, np.ones_like(quad)
+        else:
+            crit, sign = gaussian_criterion(eps[:, burn_in:],
+                                            pred.innovation_cov)
+    for j, i in enumerate(ok):
+        out[index[i]] = (
+            (float(crit[j]), float(quad[j]), yhat[j], eps[j], _take(pred, j))
+            if sign[j] > 0 else
+            RiccatiError("innovation covariance is not positive definite"))
+    return out
 
 
 def evaluate_candidate(params, noise, u, y, ts, burn_in, output_error=False):
-    """Assemble, discretize, solve the gain and run the predictor once.
+    """``evaluate_candidates`` for one candidate; raises its typed error."""
+    result, = evaluate_candidates([params], noise, u, y, ts, burn_in,
+                                  output_error=output_error)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    Returns (criterion, quadratic loss, predictions, innovations,
-    predictor).  The criterion is the Gaussian likelihood rate for the
-    innovation predictor and the plain quadratic loss for the output-error
-    baseline, which has no stochastic model.
-    """
-    cont = assemble_continuous(params, noise)
-    disc = discretize_zoh(cont, ts, input_hold="foh")
-    pred = open_loop_predictor(disc) if output_error else solve_dare(disc, noise)
-    yhat, eps = predict(pred, disc, u, y)
-    quad = loss(eps[burn_in:])
-    crit = quad if output_error else gaussian_criterion(eps[burn_in:], pred, noise)
-    return crit, quad, yhat, eps, pred
+
+def _penalty_cause(result):
+    """Why the objective scores an ``evaluate_candidates`` result with the
+    penalty (a ``PENALTY_CAUSES`` name), or None for a usable value."""
+    if isinstance(result, CaseValidationError):
+        return "invalid_parameters"
+    if isinstance(result, UnstablePredictorError):
+        return "unstable_predictor"
+    if isinstance(result, RiccatiError):
+        return "riccati"
+    if isinstance(result, Exception) or not np.isfinite(result[0]):
+        return "non_finite"
+    return None
 
 
 def _default_bounds(init, free):
@@ -533,7 +688,11 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
     """Prediction-error estimate of the free load parameters.
 
     Each candidate re-runs the full assemble / discretize / gain / predict
-    chain; the best of the multi-start local searches is returned.  With
+    chain; the forward-difference points of each L-BFGS-B gradient run
+    through it as one stack (``evaluate_candidates``).  ``meta["n_eval"]``
+    counts candidates and ``meta["penalties"]`` the penalty returns by cause
+    (``PENALTY_CAUSES``).  The best of the multi-start local searches is
+    returned.  With
     ``method="tm"`` the gain is forced to zero: the output-error baseline.
     ``bounds`` overrides ``_default_bounds`` per parameter.
     """
@@ -571,28 +730,43 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
         return p
 
     eval_count = [0]
+    penalties = dict.fromkeys(PENALTY_CAUSES, 0)
     last_value = [penalty]
     best_seen = [penalty, None]  # best evaluated point, robust to line-search
     # failures on the penalty plateau
 
+    def batch_map(fun, xs):
+        """Criterion of each candidate in ``xs``, scored as one stack; the
+        counters advance in list order.  L-BFGS-B hands it the forward
+        difference points of a gradient (``fun`` is its wrapper of
+        ``objective`` and goes unused)."""
+        xs = [np.array(x, dtype=float) for x in xs]
+        params = []
+        for x in xs:
+            try:
+                params.append(make_params(x))
+            except CaseValidationError as exc:
+                params.append(exc)
+        scored = iter(evaluate_candidates(
+            [p for p in params if not isinstance(p, Exception)], noise, u, y,
+            ts, burn_in, output_error=output_error))
+        values = []
+        for x, p in zip(xs, params):
+            result = p if isinstance(p, Exception) else next(scored)
+            eval_count[0] += 1
+            cause = _penalty_cause(result)
+            val = result[0] if cause is None else penalty
+            if cause is not None:
+                penalties[cause] += 1
+            last_value[0] = val
+            if val < best_seen[0]:
+                best_seen[0] = val
+                best_seen[1] = x
+            values.append(val)
+        return values
+
     def objective(x):
-        eval_count[0] += 1
-        try:
-            p = make_params(x)
-            val, _, _, _, _ = evaluate_candidate(
-                p, noise, u, y, ts, burn_in, output_error=output_error
-            )
-        except (ToolkitError, CaseValidationError, np.linalg.LinAlgError):
-            last_value[0] = penalty
-            return penalty
-        if not np.isfinite(val):
-            last_value[0] = penalty
-            return penalty
-        last_value[0] = val
-        if val < best_seen[0]:
-            best_seen[0] = val
-            best_seen[1] = np.array(x, dtype=float)
-        return val
+        return batch_map(None, [x])[0]
 
     rng = np.random.default_rng(seed)
     starts = [np.ones(len(free))]
@@ -623,7 +797,7 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
                 bounds=x_bounds,
                 callback=cb,
                 options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,
-                         "gtol": 1e-10},
+                         "gtol": 1e-10, "workers": batch_map},
             )
             run_fun, run_x = float(res.fun), res.x
             if best_seen[1] is not None and best_seen[0] < run_fun:
@@ -677,6 +851,7 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
             "free": list(free),
             "tie_emf": tie_emf,
             "n_eval": eval_count[0],
+            "penalties": penalties,
             "chosen_start": best_start,
             "burn_in": burn_in,
             "channel": noise.channel,

@@ -2,15 +2,17 @@
 
 The per-sample loops are the straightforward recursions that
 ``greybox.propagate`` replaces in ``predict``, ``simulate_discrete`` and
-``sim.linear_response``.  ``rhs_full_network`` is the simulator right-hand
-side solved on the whole network, which ``sim._rhs`` replaces with the
-reduced network map, and ``simulate_loop`` is ``sim.simulate``'s step
-solved one substep at a time, which ``sim.simulate`` replaces with
-fixed-point sweeps over windows of substeps.  The frequency
-loops solve one frequency at a time: ``reduce_to_load_loop`` eliminates
-everything but the motor bus from the full system of ``frequency_system``,
-which ``freq.reduce_to_load`` replaces with one constant Kron reduction and
-one stacked solve.
+``sim.linear_response``.  ``solve_dare_loop`` is the one-model doubling
+iteration with three solves per step that ``greybox.riccati_predictors``
+replaces with one stacked solve per step.  ``rhs_full_network`` is the
+simulator right-hand side solved on the whole network, which ``sim._rhs``
+replaces with the reduced network map, and ``simulate_loop`` is
+``sim.simulate``'s step solved one substep at a time, which
+``sim.simulate`` replaces with fixed-point sweeps over windows of
+substeps.  The frequency loops solve one frequency at a time:
+``reduce_to_load_loop`` eliminates everything but the motor bus from the
+full system of ``frequency_system``, which ``freq.reduce_to_load``
+replaces with one constant Kron reduction and one stacked solve.
 """
 
 import math
@@ -18,7 +20,11 @@ import math
 import numpy as np
 
 from loadsysid.constants import OMEGA_S
-from loadsysid.errors import SimulationError
+from loadsysid.errors import (
+    RiccatiError,
+    SimulationError,
+    UnstablePredictorError,
+)
 from loadsysid.greybox import van_loan
 from loadsysid.network import expand_real
 
@@ -64,6 +70,68 @@ def simulate_discrete_loop(disc, u, e=None, v=None):
             y[k] += v[k]
         x = disc.ad @ x + disc.bd @ u[k] + disc.gd @ ek
     return y
+
+
+def dare_step(p, ad, cd, nbar, rbar, qbar):
+    """One fixed-point application of the Riccati map."""
+    s = cd @ p @ cd.T + rbar
+    k = np.linalg.solve(s.T, (ad @ p @ cd.T + nbar).T).T
+    return ad @ p @ ad.T - k @ (ad @ p @ cd.T + nbar).T + qbar
+
+
+def solve_dare_loop(disc, noise, tol=1e-12, max_iter=120):
+    """Gain, Riccati solution and predictor matrix (kd, p, ad - kd cd) of
+    one discrete model: the structure-preserving doubling iteration with
+    three solves per step, the input noise folded in by its own branch.
+    Raises ``RiccatiError`` or ``UnstablePredictorError`` like the
+    solver."""
+    ad, cd, gd, hd = disc.ad, disc.cd, disc.gd, disc.hd
+    q, rm = noise.q, noise.rm
+    nbar = gd @ q @ hd.T
+    rbar = rm + hd @ q @ hd.T
+    qbar = gd @ q @ gd.T
+    if any(v > 0 for v in noise.input_variance):
+        siu = np.diag(noise.input_variance)
+        nbar = nbar + disc.bd @ siu @ disc.dd.T
+        rbar = rbar + disc.dd @ siu @ disc.dd.T
+        qbar = qbar + disc.bd @ siu @ disc.bd.T
+    if np.linalg.cond(rbar) > 1e14:
+        raise RiccatiError("effective measurement covariance is singular")
+    rbar_inv = np.linalg.inv(rbar)
+    a_k = (ad - nbar @ rbar_inv @ cd).T.copy()
+    g_k = cd.T @ rbar_inv @ cd
+    h_k = qbar - nbar @ rbar_inv @ nbar.T
+    eye = np.eye(ad.shape[0])
+    converged = False
+    for _ in range(max_iter):
+        try:
+            w_inv_a = np.linalg.solve(eye + g_k @ h_k, a_k)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiError(f"doubling iteration broke down: {exc}") \
+                from exc
+        h_next = h_k + a_k.T @ np.linalg.solve(eye + h_k @ g_k, h_k @ a_k)
+        g_next = g_k + a_k @ np.linalg.solve(eye + g_k @ h_k, g_k @ a_k.T)
+        a_next = a_k @ w_inv_a
+        step = np.linalg.norm(h_next - h_k)
+        h_k, g_k, a_k = h_next, g_next, a_next
+        if step <= tol * max(1.0, np.linalg.norm(h_k)):
+            converged = True
+            break
+    p = 0.5 * (h_k + h_k.T)
+    residual = float(np.linalg.norm(
+        p - dare_step(p, ad, cd, nbar, rbar, qbar)))
+    if not converged or residual > 1e-9:
+        raise RiccatiError(
+            f"Riccati iteration did not converge ({residual:.3e})")
+    s = cd @ p @ cd.T + rbar
+    kd = np.linalg.solve(s.T, (ad @ p @ cd.T + nbar).T).T
+    ad_k = ad - kd @ cd
+    rho = float(np.max(np.abs(np.linalg.eigvals(ad_k))))
+    if rho >= 1.0:
+        raise UnstablePredictorError(f"predictor spectral radius {rho:.6f}")
+    if np.min(np.linalg.eigvalsh(p)) < -1e-10 * max(1.0, np.linalg.norm(p)):
+        raise RiccatiError("Riccati solution is not positive semidefinite")
+    return kd, p, ad_k
 
 
 def linear_response_loop(model, disturbance, ts):

@@ -212,7 +212,7 @@ def test_criterion_05_riccati_predictor(wscc_eq):
     pred = solve_dare(disc, noise)
     sym = float(np.max(np.abs(pred.p - pred.p.T)))
     pd_ok = bool(np.min(np.linalg.eigvalsh(pred.p)) > 0)
-    rho = pred.spectral_radius()
+    rho = float(np.max(np.abs(np.linalg.eigvals(pred.ad_k))))
 
     rng = np.random.default_rng(12)
     from scipy.signal import lfilter

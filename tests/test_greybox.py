@@ -5,14 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid.constants import OMEGA_S
-from loadsysid.errors import IdentificationError, RiccatiError, ToolkitError
+from loadsysid.errors import (
+    CaseValidationError,
+    IdentificationError,
+    RiccatiError,
+    ToolkitError,
+    UnstablePredictorError,
+)
 from loadsysid.greybox import (
+    NOISE_CHANNELS,
+    PENALTY_CAUSES,
+    GreyBoxContinuous,
     GreyBoxDiscrete,
     NoiseConfig,
     assemble_continuous,
-    dare_step,
     discretize_zoh,
     evaluate_candidate,
+    evaluate_candidates,
     fit_percent,
     identify,
     identify_output_error,
@@ -21,12 +30,19 @@ from loadsysid.greybox import (
     open_loop_predictor,
     predict,
     propagate,
+    riccati_predictors,
     simulate_discrete,
     solve_dare,
 )
 from loadsysid.motor import LoadParameters
 
-from loops import predict_loop, propagate_loop, simulate_discrete_loop
+from loops import (
+    dare_step,
+    predict_loop,
+    propagate_loop,
+    simulate_discrete_loop,
+    solve_dare_loop,
+)
 
 
 def _params(**kw):
@@ -253,13 +269,66 @@ def test_dare_against_fixed_point_iteration():
         p = p_next
     assert np.max(np.abs(p - pred.p)) < 1e-10
     assert pred.residual < 1e-9
-    assert pred.spectral_radius() < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(pred.ad_k))) < 1.0
     ev = np.linalg.eigvalsh(pred.p)
     assert ev[0] > 0.0  # positive definite for the noise-driven model
     # the printed update form is also satisfied at the solution
     printed = disc.ad @ pred.p @ disc.ad.T - pred.kd @ (
         disc.ad @ pred.p @ disc.cd.T + nbar).T + qbar
     assert np.max(np.abs(printed - pred.p)) < 1e-12
+
+
+def _random_params(rng, truth):
+    """A candidate drawn around ``truth``, as the optimizer may propose."""
+    draw = {
+        "X": truth.X * rng.uniform(0.2, 5),
+        "Td0p": truth.Td0p * rng.uniform(0.2, 5),
+        "Tj": truth.Tj * rng.uniform(0.2, 5),
+        "s0": float(np.clip(truth.s0 * rng.uniform(0.2, 5), 1e-4, 0.5)),
+    }
+    draw["Xp"] = min(truth.Xp * rng.uniform(0.2, 5), draw["X"] * 0.9)
+    return replace(truth, **draw)
+
+
+def _stacked_discrete(params_list, noise, ts=0.01):
+    conts = [assemble_continuous(p, noise) for p in params_list]
+    cont = GreyBoxContinuous(**{name: np.stack([vars(c)[name] for c in conts])
+                                for name in vars(conts[0])})
+    return discretize_zoh(cont, ts, input_hold="foh")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_riccati_stack_matches_doubling_oracle(seed):
+    """Each slice of the stacked one-solve doubling against the per-model
+    three-solve doubling: the same failure type from the same slices, and
+    P and K S = A P C' + N to 1e-12.  K = (A P C' + N) S^-1 itself carries
+    the rounding of P amplified by cond(S) (measured: at most 1.3 cond(S)
+    eps over 3000 draws), so its bound grows with cond(S)."""
+    rng = np.random.default_rng(seed)
+    noise = NoiseConfig(
+        channel=NOISE_CHANNELS[rng.integers(2)], rm=1e-8 * np.eye(2),
+        input_variance=tuple(rng.choice([0.0, 1e-9, 1e-7], size=2)))
+    cands = [_random_params(rng, _params()) for _ in range(4)]
+    disc = _stacked_discrete(cands, noise)
+    pred, failures = riccati_predictors(disc, noise)
+    for j in range(len(cands)):
+        one = GreyBoxDiscrete(**{
+            k: v[j] if isinstance(v, np.ndarray) else v
+            for k, v in vars(disc).items()})
+        try:
+            kd, p, _ = solve_dare_loop(one, noise)
+        except RiccatiError as exc:
+            assert type(failures[j]) is type(exc), (j, failures[j], exc)
+            continue
+        assert failures[j] is None
+        s = pred.innovation_cov[j]
+        assert _rel_dev(pred.p[j], p) < 1e-12
+        assert _rel_dev(pred.kd[j] @ s, kd @ s) < 1e-12
+        assert _rel_dev(pred.kd[j], kd) < 1e-12 + 1e-15 * np.linalg.cond(s)
+        single = solve_dare(one, noise)
+        assert np.array_equal(single.p, pred.p[j])
+        assert np.array_equal(single.kd, pred.kd[j])
 
 
 def test_dare_singular_floor_rejected():
@@ -349,6 +418,18 @@ def test_propagate_matches_loop_oracle(seed, radius, n):
     got = propagate(a, b, c, d, w)
     assert got.shape == (n, ny)
     assert _rel_dev(got, propagate_loop(a, b, c, d, w)) < 1e-12
+    # A stack of three systems driven by the one record, and one system
+    # driven by a stack of two records.
+    a3 = a * np.array([1.0, 0.5, -0.9])[:, None, None]
+    b3 = b + 0.1 * rng.standard_normal((3, nx, nw))
+    got3 = propagate(a3, b3, c, d, w)
+    assert got3.shape == (3, n, ny)
+    for i in range(3):
+        assert _rel_dev(got3[i], propagate_loop(a3[i], b3[i], c, d, w)) < 1e-12
+    w2 = np.stack([w, rng.standard_normal((n, nw))])
+    got2 = propagate(a, b, c, d, w2)
+    for i in range(2):
+        assert _rel_dev(got2[i], propagate_loop(a, b, c, d, w2[i])) < 1e-12
 
 
 def test_propagate_empty_record():
@@ -361,16 +442,8 @@ def test_propagate_empty_record():
 @given(st.integers(min_value=0, max_value=2**31))
 def test_predictor_and_simulation_match_loop_oracles(seed):
     rng = np.random.default_rng(seed)
-    truth = _params()
-    draw = {
-        "X": truth.X * rng.uniform(0.2, 5),
-        "Td0p": truth.Td0p * rng.uniform(0.2, 5),
-        "Tj": truth.Tj * rng.uniform(0.2, 5),
-        "s0": float(np.clip(truth.s0 * rng.uniform(0.2, 5), 1e-4, 0.5)),
-    }
-    draw["Xp"] = min(truth.Xp * rng.uniform(0.2, 5), draw["X"] * 0.9)
     noise = NoiseConfig()
-    cont = assemble_continuous(replace(truth, **draw), noise)
+    cont = assemble_continuous(_random_params(rng, _params()), noise)
     disc = discretize_zoh(cont, 0.01, input_hold="foh")
     n = 450
     u = 1e-3 * rng.standard_normal((n, 2))
@@ -552,6 +625,146 @@ def test_gradient_step_size_robustness():
     assert np.linalg.norm(g1 - g2) <= 0.01 * np.linalg.norm(g1)
 
 
+def _retied(params):
+    """``params`` with the EMF pair on its steady-state relation."""
+    from loadsysid.motor import emf_steady_state
+
+    e0 = emf_steady_state(params.X, params.Xp, params.Td0p, params.s0,
+                          params.V0 * np.exp(1j * params.theta0))
+    return replace(params, Exp0=float(e0.real), Eyp0=float(e0.imag))
+
+
+def test_candidate_stack_matches_scalar_evaluation():
+    """One stack holding a valid candidate, one whose parameters fail
+    validation, one whose pem-b predictor is unstable (radius 1.00008) and
+    one whose open-loop model grows at 36/s, so that its output-error
+    predictions overflow on this 20 s record.  Every slice gives the scalar
+    evaluation's value or failure type, without a floating-point warning."""
+    import warnings
+
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, n=2000, seed=3)
+    u = np.column_stack([win.delta("v"), win.delta("theta")])
+    y = np.column_stack([win.delta("p"), win.delta("q")])
+    invalid = replace(truth)
+    object.__setattr__(invalid, "Xp", 2 * truth.X)  # X > Xp fails
+    cands = [
+        _retied(replace(truth, X=1.1 * truth.X, Tj=0.9 * truth.Tj)),
+        invalid,
+        replace(truth, X=10.826, Td0p=0.133, Tj=7.817, s0=0.049, Xp=0.897),
+        _retied(replace(truth, X=0.623, Xp=0.0345, Td0p=3.405, Tj=0.284,
+                        s0=0.0674)),
+    ]
+    noise = NoiseConfig(channel="emf-wrong", rm=1e-8 * np.eye(2),
+                        input_variance=(1e-9, 1e-9))
+    kinds = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for output_error in (False, True):
+            stack = evaluate_candidates(cands, noise, u, y, win.ts, 50,
+                                        output_error=output_error)
+            for p, got in zip(cands, stack):
+                try:
+                    want = evaluate_candidate(p, noise, u, y, win.ts, 50,
+                                              output_error=output_error)
+                except ToolkitError as exc:
+                    assert type(got) is type(exc)
+                    kinds[type(exc)] = True
+                    continue
+                if not np.isfinite(want[0]):
+                    assert not np.isfinite(got[0])
+                    kinds["non-finite"] = True
+                    continue
+                assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+                assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+                assert np.array_equal(got[2], want[2])
+    assert set(kinds) == {CaseValidationError, UnstablePredictorError,
+                          "non-finite"}
+
+
+def test_batched_gradient_matches_serial_differences():
+    """scipy hands every forward-difference point of a gradient to
+    ``workers`` at once; scored as one stack they give the serial
+    gradient, also at a point on an upper bound, where scipy steps
+    backwards."""
+    from scipy.optimize._numdiff import approx_derivative
+
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, seed=5)
+    u = np.column_stack([win.delta("v"), win.delta("theta")])
+    y = np.column_stack([win.delta("p"), win.delta("q")])
+    noise = NoiseConfig()
+    names = ("X", "Xp", "Td0p", "Tj", "s0")
+    scale = np.array([getattr(truth, n) for n in names])
+
+    def params(x):
+        return _retied(replace(truth, **dict(zip(names, x * scale))))
+
+    def f(x):
+        return evaluate_candidate(params(x), noise, u, y, win.ts, 20)[0]
+
+    def batch(fun, xs):
+        return [r[0] for r in evaluate_candidates(
+            [params(x) for x in xs], noise, u, y, win.ts, 20)]
+
+    lb, ub = np.full(5, 0.5), np.array([2.0, 2.0, 1.3, 2.0, 2.0])
+    for x0 in (np.array([1.1, 0.93, 1.2, 1.05, 0.9]),
+               np.array([1.1, 0.93, 1.3, 1.05, 0.9])):   # Td0p at its bound
+        kw = dict(method="2-point", abs_step=1e-6, bounds=(lb, ub))
+        serial = approx_derivative(f, x0, **kw)
+        stacked = approx_derivative(f, x0, workers=batch, **kw)
+        assert _rel_dev(stacked, serial) <= 1e-8
+
+
+def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
+    import loadsysid.greybox as greybox
+
+    sizes = []
+    score = greybox.evaluate_candidates
+
+    def recording(params_list, *args, **kwargs):
+        sizes.append(len(params_list))
+        return score(params_list, *args, **kwargs)
+
+    monkeypatch.setattr(greybox, "evaluate_candidates", recording)
+    truth = _params()
+    win = _noise_free_series(truth, seed=5)
+    init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
+    res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
+                   n_restarts=1, burn_in=0, maxiter=5)
+    # A candidate that fails parameter validation never reaches the stack.
+    assert set(sizes) - {0} == {1, 5}
+    assert res.meta["n_eval"] >= sum(sizes)
+
+
+def test_output_error_overflow_is_a_counted_penalty():
+    """On a 200 s record the random second start (seed 2) is an open-loop
+    model whose predictions overflow: the start fails under the
+    ``non_finite`` cause, and no floating-point warning escapes."""
+    import warnings
+
+    truth = _params()
+    win = _noise_free_series(truth, n=20000, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = identify_output_error(win, truth, n_restarts=2, seed=2,
+                                    burn_in=0, maxiter=3)
+    assert res.meta["penalties"]["non_finite"] > 0
+    assert not res.starts[1]["ok"] and res.starts[0]["ok"]
+
+
+def test_penalty_counts_repeat_and_name_their_causes():
+    truth = _params()
+    win = _noise_free_series(truth, seed=6)
+    bounds = {"X": (0.2, 20.0)}
+    runs = [identify(win, truth, bounds=bounds, n_restarts=2, seed=4,
+                     burn_in=0, maxiter=20).meta for _ in range(2)]
+    assert runs[0]["penalties"] == runs[1]["penalties"]
+    assert tuple(runs[0]["penalties"]) == PENALTY_CAUSES
+    # X's widened box reaches below Xp: those candidates fail validation.
+    assert 0 < runs[0]["penalties"]["invalid_parameters"] < runs[0]["n_eval"]
+
+
 def test_equilibrium_consistent_parameters_have_no_offset(wscc_eq):
     cont = assemble_continuous(wscc_eq.params, NoiseConfig())
     disc = discretize_zoh(cont, 0.01)
@@ -563,19 +776,10 @@ def test_equilibrium_consistent_parameters_have_no_offset(wscc_eq):
 @given(st.integers(min_value=0, max_value=2**31))
 def test_predictor_stays_stable_over_random_candidates(seed):
     rng = np.random.default_rng(seed)
-    truth = _params()
-    draw = {
-        "X": truth.X * rng.uniform(0.2, 5),
-        "Td0p": truth.Td0p * rng.uniform(0.2, 5),
-        "Tj": truth.Tj * rng.uniform(0.2, 5),
-        "s0": float(np.clip(truth.s0 * rng.uniform(0.2, 5), 1e-4, 0.5)),
-    }
-    draw["Xp"] = min(truth.Xp * rng.uniform(0.2, 5), draw["X"] * 0.9)
-    p = replace(truth, **draw)
-    cont = assemble_continuous(p, NoiseConfig())
+    cont = assemble_continuous(_random_params(rng, _params()), NoiseConfig())
     disc = discretize_zoh(cont, 0.01)
     try:
         pred = solve_dare(disc, NoiseConfig())
     except RiccatiError:
         return
-    assert pred.spectral_radius() < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(pred.ad_k))) < 1.0

@@ -324,6 +324,25 @@ ident.restarts = 1
         assert "np." not in path.read_text(), path.name
 
 
+def test_reproduce_counts_pem_b_unstable_predictors(tmp_path):
+    # Criterion 12's configuration (6 s record, one start), seed 8.  The
+    # penalty counts repeat in a second identification of the same record
+    # and stay out of the identification report.
+    cfg = load_config(default_config_text() + """
+scenario.duration = 6.0
+scenario.internal.end = 6.0
+analysis.end = 6.0
+ident.restarts = 1
+""", seed_override=8)
+    run = pipeline.run_reproduce(cfg, tmp_path / "a")
+    counts = run["results"]["pem-b"].meta["penalties"]
+    assert counts["unstable_predictor"] > 0
+    again = pipeline.run_identify(cfg, tmp_path / "b", run["series"],
+                                  run["system"], "pem-b")
+    assert again.meta["penalties"] == counts
+    assert "penalt" not in (tmp_path / "a" / "ident_pem-b.txt").read_text()
+
+
 @pytest.mark.parametrize("line", ["ident.free = X,Xq",
                                   "ident.init = explicit:1.0,0.2",
                                   "ident.free = X,Xp,Td0p,Tj,s0,Pz",
