@@ -33,24 +33,20 @@ def _parser():
         description="Closed-loop motor-load identification toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, wants_method in (
-        ("simulate", False),
-        ("diagnose", False),
-        ("identify", True),
-        ("reproduce", False),
-        ("check", False),
-    ):
+    for name in ("simulate", "diagnose", "identify", "reproduce"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="experiment config path (bundled default if omitted)")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--seeds", default=None,
-                        help="batch seed range A..B (reproduce only)")
-        if wants_method:
+        if name == "identify":
             sp.add_argument("--method", default="pem-a",
                             choices=list(pipeline.METHODS))
+        if name == "reproduce":
+            sp.add_argument("--seeds", default=None,
+                            help="batch seed range A..B")
+    sub.add_parser("check")
     return p
 
 
@@ -91,7 +87,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         if args.command == "check":
-            return _run_check(args)
+            return _run_check()
         cfg = _load(args)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "simulate":
@@ -142,7 +138,7 @@ def _batch_reproduce(args, out):
     tio.write_table(Path(out) / "aggregate.csv", columns, rows)
 
 
-def _run_check(args):
+def _run_check():
     """Run the acceptance suite via pytest on the repository tests."""
     import subprocess
 

@@ -9,7 +9,7 @@ s^2 Ts / (2 pi).  All matrix estimates are Hermitian by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from loadsysid.errors import SpectrumError, ToolkitError
 class SpectrumEstimate:
     omega: np.ndarray            # rad/s, non-negative half-axis
     matrices: np.ndarray         # (n_freq, c, c) complex Hermitian
-    ts: float
-    segment_len: int
-    overlap: float
-    window: str
-    n_averages: int
-    labels: list = field(default_factory=list)
 
     def hermitian_defect(self):
         return float(np.max(np.abs(self.matrices - np.conj(
@@ -37,25 +31,12 @@ class SpectrumEstimate:
         return self.omega[mask], self.matrices[mask]
 
 
-def _window(kind, n):
-    # periodic variants, the standard choice for averaged periodograms
-    k = np.arange(n)
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * math.pi * k / n)
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * math.pi * k / n)
-    if kind == "boxcar":
-        return np.ones(n)
-    raise SpectrumError(f"unknown window kind {kind!r}")
-
-
-def estimate_spectrum(signals, ts, segment_len=256, overlap=0.5, window="hann",
-                      labels=None):
+def estimate_spectrum(signals, ts, segment_len=256):
     """Averaged cross-periodogram estimate of the spectral density matrix.
 
-    ``signals`` is (N, channels); segments overlap by the given fraction
-    and are windowed before the FFT.  Requires at least two segments of
-    data.
+    ``signals`` is (N, channels); segments overlap by half and carry a
+    periodic Hann window, the standard choice for averaged periodograms.
+    Requires at least two segments of data.
     """
     x = np.atleast_2d(np.asarray(signals, dtype=float))
     if x.shape[0] < x.shape[1]:
@@ -65,9 +46,9 @@ def estimate_spectrum(signals, ts, segment_len=256, overlap=0.5, window="hann",
         raise SpectrumError(
             f"series of length {n} is shorter than two segments of {segment_len}"
         )
-    w = _window(window, segment_len)
+    w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_len) / segment_len)
     u_norm = float(np.sum(w**2))
-    hop = max(1, int(round(segment_len * (1.0 - overlap))))
+    hop = max(1, round(segment_len / 2))
     starts = range(0, n - segment_len + 1, hop)
     n_freq = segment_len // 2 + 1
     acc = np.zeros((n_freq, c, c), dtype=complex)
@@ -82,16 +63,7 @@ def estimate_spectrum(signals, ts, segment_len=256, overlap=0.5, window="hann",
     mats = acc * scale
     mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
     omega = 2.0 * math.pi * np.fft.rfftfreq(segment_len, d=ts)
-    return SpectrumEstimate(
-        omega=omega,
-        matrices=mats,
-        ts=ts,
-        segment_len=segment_len,
-        overlap=overlap,
-        window=window,
-        n_averages=count,
-        labels=list(labels) if labels else [],
-    )
+    return SpectrumEstimate(omega=omega, matrices=mats)
 
 
 @dataclass
@@ -195,15 +167,12 @@ def bias_bound(h_true, h_model, lambda0, phi_u, phi_u_noise):
     """Per-frequency upper bound on the identification bias.
 
     Evaluates sbar(H0 - Htheta) sqrt(sbar(L0)/smin(Phi_u))
-    sqrt(sbar(Phi_u^e)/smin(Phi_u)) on the shared grid.  All quantities
-    must use one spectral convention; only their ratios enter.
+    sqrt(sbar(Phi_u^e)/smin(Phi_u)) on the shared grid.  ``phi_u`` and
+    ``phi_u_noise`` are (omega, matrices) pairs on that grid.  All
+    quantities must use one spectral convention; only their ratios enter.
     """
-    omega = np.asarray(phi_u.omega if hasattr(phi_u, "omega") else phi_u[0])
-    mats_u = phi_u.matrices if hasattr(phi_u, "matrices") else phi_u[1]
-    mats_e = (
-        phi_u_noise.matrices if hasattr(phi_u_noise, "matrices")
-        else phi_u_noise[1]
-    )
+    omega, mats_u = phi_u
+    _, mats_e = phi_u_noise
     lam = np.atleast_2d(np.asarray(lambda0, dtype=float))
     sbar_lam = float(np.linalg.svd(lam, compute_uv=False)[0])
     dh = h_true.interp(omega) - h_model.interp(omega)
@@ -286,8 +255,8 @@ def _coherence_weighted_nrmse(i_meas, i_pred, ts, segment_len):
     return math.sqrt(num / den) if den > 0 else math.inf
 
 
-def pitfall_metrics(series, case, eq, params=None, segment_len=128,
-                    pad_factor=4, nrmse_threshold=0.15):
+def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4,
+                    nrmse_threshold=0.15):
     """Does the measured record follow the network response or the load?
 
     Filters the measured voltage deltas through the equivalent network
@@ -297,7 +266,6 @@ def pitfall_metrics(series, case, eq, params=None, segment_len=128,
     """
     from loadsysid.freq import load_frf, reduce_to_load
 
-    params = params if params is not None else eq.params
     d = rect_deltas(series)
     n = len(d)
     if n < 2 * segment_len:
@@ -308,7 +276,7 @@ def pitfall_metrics(series, case, eq, params=None, segment_len=128,
         return reduce_to_load(case, eq, omega)[0].values
 
     def g_eval(omega):
-        return load_frf(params, omega).values
+        return load_frf(eq.params, omega).values
 
     i_net = filtered_current(k_eval, v_rect, series.ts, pad_factor)
     i_load = filtered_current(g_eval, v_rect, series.ts, pad_factor)

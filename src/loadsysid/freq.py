@@ -13,7 +13,7 @@ All responses are sampled on frequency grids; nothing is kept symbolic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class FrequencyResponse:
 
     omega: np.ndarray          # rad/s
     values: np.ndarray         # (n_omega, p, q) complex
-    in_labels: list = field(default_factory=list)
-    out_labels: list = field(default_factory=list)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -56,21 +54,6 @@ class FrequencyResponse:
                 out[:, i, j] = re + 1j * im
         return out
 
-    def check_conjugate_symmetry(self, atol=1e-9):
-        """Value at -w equals the conjugate of the value at +w, when present."""
-        for i, w in enumerate(self.omega):
-            j = int(np.argmin(np.abs(self.omega + w)))
-            if abs(self.omega[j] + w) < 1e-12:
-                if not np.allclose(self.values[j], np.conj(self.values[i]),
-                                   atol=atol):
-                    return False
-        return True
-
-
-def default_grid(f_min=0.01, f_max=10.0, n=200):
-    """Logarithmic diagnostic grid, rad/s."""
-    return 2.0 * math.pi * np.logspace(math.log10(f_min), math.log10(f_max), n)
-
 
 def _solve_grid(mats, rhs, omega, what):
     """``np.linalg.solve`` over a stack of per-frequency matrices.  A
@@ -93,7 +76,7 @@ def _resolvent(a, omega_grid):
     return 1j * omega_grid[:, None, None] * np.eye(len(a)) - a
 
 
-def generator_frf(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
+def generator_frf(gen, e_phasor, v_phasor, omega):
     """Voltage-to-injected-current transfer of one classical generator.
 
     ``gen`` carries (tj, xdp, damping); ``e_phasor`` is the constant internal
@@ -102,7 +85,7 @@ def generator_frf(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
     """
     ex, ey = e_phasor.real, e_phasor.imag
     k_delta = (ex * v_phasor.real + ey * v_phasor.imag) / gen.xdp
-    a = np.array([[0.0, omega_s], [-k_delta / gen.tj, -gen.damping / gen.tj]])
+    a = np.array([[0.0, OMEGA_S], [-k_delta / gen.tj, -gen.damping / gen.tj]])
     b = np.array([[0.0, 0.0],
                   [-ey / (gen.xdp * gen.tj), ex / (gen.xdp * gen.tj)]])
     c = np.array([[ex / gen.xdp, 0.0], [ey / gen.xdp, 0.0]])
@@ -170,24 +153,26 @@ def reduce_to_load(case, eq, omega_grid, disturbance_bus=None,
     x_gen = _solve_grid(m_gg, np.hstack([red[:-2, -2:], u[:-2]]), omega_grid,
                         "elimination block")
     m_kg = red[-2:, :-2]
-    k = FrequencyResponse(omega_grid, m_kg @ x_gen[:, :, :2] - red[-2:, -2:],
-                          in_labels=["dVx", "dVy"], out_labels=["dIx", "dIy"])
+    k = FrequencyResponse(omega_grid, m_kg @ x_gen[:, :, :2] - red[-2:, -2:])
     kh = None
     if disturbance_bus is not None:
-        kh = FrequencyResponse(omega_grid, u[-2:] - m_kg @ x_gen[:, :, 2:],
-                               in_labels=["injection"],
-                               out_labels=["dIx", "dIy"])
+        kh = FrequencyResponse(omega_grid, u[-2:] - m_kg @ x_gen[:, :, 2:])
     return k, kh
 
 
-def _output_conversion(params, include_motor=True):
+def _output_conversion(params):
     """Matrices converting the (dV, dtheta) / (dP, dQ) model coordinates to
     rectangular voltage and drawn-current deltas at the operating point."""
     v0, th0 = params.V0, params.theta0
     ct, st = math.cos(th0), math.sin(th0)
     w_v = np.array([[ct, st], [-st / v0, ct / v0]])           # (dVx,dVy)->(dV,dth)
-    s0 = complex(_load_p0(params, include_motor), _load_q0(params, include_motor))
-    i0 = np.conj(s0 / (v0 * np.exp(1j * th0)))
+    v = v0 * np.exp(1j * th0)
+    # Power drawn at the operating point: the motor's plus the static part.
+    s0 = complex(
+        (params.Exp0 * v.imag - params.Eyp0 * v.real) / params.Xp + params.Pz,
+        (abs(v) ** 2 - v.real * params.Exp0 - v.imag * params.Eyp0) / params.Xp
+        + params.Qz)
+    i0 = np.conj(s0 / v)
     w_y = np.array([[ct, st], [st, -ct]]) / v0                # (dP,dQ)->(dIx,dIy)
     w_u = np.column_stack([
         [-i0.real / v0, -i0.imag / v0],
@@ -196,40 +181,19 @@ def _output_conversion(params, include_motor=True):
     return w_v, w_y, w_u
 
 
-def _load_p0(params, include_motor=True):
-    v = params.V0 * np.exp(1j * params.theta0)
-    pm = (params.Exp0 * v.imag - params.Eyp0 * v.real) / params.Xp
-    return (pm if include_motor else 0.0) + params.Pz
-
-
-def _load_q0(params, include_motor=True):
-    v = params.V0 * np.exp(1j * params.theta0)
-    qm = (abs(v) ** 2 - v.real * params.Exp0 - v.imag * params.Eyp0) / params.Xp
-    return (qm if include_motor else 0.0) + params.Qz
-
-
-def load_frf(params, omega_grid, include_motor=True):
+def load_frf(params, omega_grid):
     """Voltage-to-drawn-current response of the load model itself.
 
     Assembles the grey-box model at ``params`` and converts it from the
     (dV, dtheta) / (dP, dQ) coordinates to rectangular voltage and current
     deltas, so the result lives on the same axes as the network response.
-    With ``include_motor=False`` only the static constant-impedance part
-    remains, whose response is the flat expanded admittance.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     cont = assemble_continuous(params, NoiseConfig())
-    w_v, w_y, w_u = _output_conversion(params, include_motor=include_motor)
-    if include_motor:
-        g_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.b,
-                                    omega_grid, "load model") + cont.d
-    else:
-        v0 = params.V0
-        g_pq = np.broadcast_to([[2.0 * params.Pz / v0, 0.0],
-                                [2.0 * params.Qz / v0, 0.0]],
-                               (len(omega_grid), 2, 2))
-    return FrequencyResponse(omega_grid, (w_y @ g_pq + w_u) @ w_v,
-                             in_labels=["dVx", "dVy"], out_labels=["dIx", "dIy"])
+    w_v, w_y, w_u = _output_conversion(params)
+    g_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.b,
+                                omega_grid, "load model") + cont.d
+    return FrequencyResponse(omega_grid, (w_y @ g_pq + w_u) @ w_v)
 
 
 def load_noise_frf(params, omega_grid, noise=None):
@@ -240,8 +204,7 @@ def load_noise_frf(params, omega_grid, noise=None):
     _, w_y, _ = _output_conversion(params)
     h_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.g,
                                 omega_grid, "load model") + cont.h
-    return FrequencyResponse(omega_grid, w_y @ h_pq,
-                             in_labels=["internal"], out_labels=["dIx", "dIy"])
+    return FrequencyResponse(omega_grid, w_y @ h_pq)
 
 
 def closed_loop_response(k, kh, g_load, h_int, spec_int, spec_ext, omega_grid):
@@ -287,8 +250,7 @@ def closed_loop_response(k, kh, g_load, h_int, spec_int, spec_ext, omega_grid):
             )
         image = np.column_stack([ki @ a, gi @ b_vec])
         out[i] = image @ np.linalg.inv(basis)
-    return FrequencyResponse(omega_grid, out,
-                             in_labels=["dVx", "dVy"], out_labels=["dIx", "dIy"])
+    return FrequencyResponse(omega_grid, out)
 
 
 def superposition_decompose(model, xi_int, xi_ext, ts):

@@ -79,7 +79,6 @@ class GreyBoxDiscrete:
     dd: np.ndarray
     gd: np.ndarray
     hd: np.ndarray
-    ts: float
     bd_ramp: np.ndarray | None = None
 
 
@@ -136,7 +135,6 @@ class InnovationPredictor:
     cd: np.ndarray
     dd: np.ndarray
     residual: float
-    ts: float
     innovation_cov: np.ndarray | None = None
 
 
@@ -260,7 +258,6 @@ def discretize_zoh(cont, ts, input_hold="zoh"):
         dd=cont.d.copy(),
         gd=w0 @ cont.g,
         hd=cont.h.copy(),
-        ts=float(ts),
         bd_ramp=bd_ramp,
     )
 
@@ -290,7 +287,12 @@ def _solve_each(m, rhs):
         return out
 
 
-def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
+# Relative step at which the doubling iteration stops, and its step cap.
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 120
+
+
+def riccati_predictors(disc, noise):
     """Steady-state Kalman predictors of a stack of discrete models.
 
     Returns ``(pred, failures)``: ``pred`` stacks the predictors and
@@ -333,7 +335,7 @@ def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
         h = (qbar - nr @ _t(nbar))[idx]
         h_done = np.full((k, nx, nx), np.nan)
         eye = np.eye(nx)
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             if not idx.size:
                 break
             xy = _solve_each(eye + g @ h,
@@ -343,7 +345,7 @@ def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
             h = h + change
             axy = a @ xy
             a, g = axy[..., :nx], g + axy[..., nx:]
-            stop = ~(step > tol * tol * np.maximum(1.0, _sq(h)))
+            stop = ~(step > DARE_TOL * DARE_TOL * np.maximum(1.0, _sq(h)))
             if stop.any():
                 for i in idx[stop & ~np.isfinite(step)]:
                     failures[i] = RiccatiError("doubling iteration broke down")
@@ -351,7 +353,7 @@ def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
                 idx, a, g, h = idx[~stop], a[~stop], g[~stop], h[~stop]
         for i in idx:
             failures[i] = RiccatiError(
-                f"Riccati iteration did not converge in {max_iter} steps")
+                f"Riccati iteration did not converge in {DARE_MAX_ITER} steps")
 
         p = 0.5 * (h_done + _t(h_done))
         s = cd @ p @ _t(cd) + rbar
@@ -380,16 +382,15 @@ def riccati_predictors(disc, noise, tol=1e-12, max_iter=120):
                 "Riccati solution is not positive semidefinite")
     pred = InnovationPredictor(
         kd=kd, p=p, ad_k=ad_k, bd_k=disc.bd - kd @ disc.dd, cd=cd,
-        dd=disc.dd, residual=residual, ts=disc.ts, innovation_cov=s)
+        dd=disc.dd, residual=residual, innovation_cov=s)
     return pred, failures
 
 
-def solve_dare(disc, noise, tol=1e-12, max_iter=120):
+def solve_dare(disc, noise):
     """Stabilizing solution of the steady-state Riccati equation of one
     discrete model and its Kalman predictor: ``riccati_predictors`` on a
     stack of one.  Raises the candidate's typed error."""
-    pred, failures = riccati_predictors(_take(disc, np.newaxis), noise, tol,
-                                        max_iter)
+    pred, failures = riccati_predictors(_take(disc, np.newaxis), noise)
     if failures[0] is not None:
         raise failures[0]
     pred = _take(pred, 0)
@@ -406,7 +407,6 @@ def open_loop_predictor(disc):
         cd=disc.cd.copy(),
         dd=disc.dd.copy(),
         residual=0.0,
-        ts=disc.ts,
     )
 
 
@@ -494,56 +494,29 @@ def propagate(a, b, c, d, w):
     return out.reshape(out.shape[:-2] + (nb * blk, ny))[..., :n, :]
 
 
-def predict(pred, disc, u, y=None, ts=None):
+def predict(pred, disc, u, y):
     """One-step-ahead predictions and innovations from zero initial state.
 
-    ``u`` and ``y`` are (N, 2) arrays of input and output deltas; ``u`` may
-    also be a detrended MeasurementSeries, in which case both are extracted.
-    The predictor is one ``propagate`` call on A - K C with the inputs
+    ``u`` and ``y`` are (N, 2) arrays of input and output deltas.  The
+    predictor is one ``propagate`` call on A - K C with the inputs
     [u, y] and, under first-order hold, the input increment u(k+1) - u(k)
     (zero on the last sample) through the ramp matrix.  A stacked predictor
     gives stacked predictions and innovations of the one record.
     """
-    if hasattr(u, "deltas"):
-        series = u
-        if ts is None:
-            ts = series.ts
-        u = np.column_stack([series.delta("v"), series.delta("theta")])
-        y = np.column_stack([series.delta("p"), series.delta("q")])
-    if ts is not None and abs(ts - pred.ts) > 1e-12:
-        raise ToolkitError(
-            f"series sample period {ts} does not match the model's {pred.ts}"
-        )
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    ramp = disc.bd_ramp if disc is not None else None
     b = [pred.bd_k, pred.kd]
     w = [u, y]
-    if ramp is not None:
+    if disc.bd_ramp is not None:
         du = np.zeros_like(u)
         du[:-1] = np.diff(u, axis=0)
-        b.append(ramp)
+        b.append(disc.bd_ramp)
         w.append(du)
     d = np.zeros(pred.dd.shape[:-1] + (sum(m.shape[-1] for m in b),))
     d[..., :u.shape[1]] = pred.dd
     yhat = propagate(pred.ad_k, np.concatenate(b, axis=-1), pred.cd, d,
                      np.hstack(w))
     return yhat, y - yhat
-
-
-def simulate_discrete(disc, u, e=None, v=None):
-    """Propagate the discrete stochastic model from zero state; returns the
-    output record."""
-    u = np.asarray(u, dtype=float)
-    if e is None:
-        y = propagate(disc.ad, disc.bd, disc.cd, disc.dd, u)
-    else:
-        y = propagate(disc.ad, np.hstack([disc.bd, disc.gd]), disc.cd,
-                      np.hstack([disc.dd, disc.hd]),
-                      np.hstack([u, np.asarray(e, dtype=float)]))
-    if v is not None:
-        y = y + v
-    return y
 
 
 def loss(innovations):
@@ -848,15 +821,9 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
         seed=seed,
         predictions=yhat,
         meta={
-            "free": list(free),
-            "tie_emf": tie_emf,
             "n_eval": eval_count[0],
             "penalties": penalties,
             "chosen_start": best_start,
-            "burn_in": burn_in,
-            "channel": noise.channel,
-            "v0": v0,
-            "theta0": theta0,
         },
     )
 

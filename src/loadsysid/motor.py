@@ -79,16 +79,6 @@ def emf_steady_state(X, Xp, Td0p, s, v):
     return (X - Xp) * v / (X + 1j * s * OMEGA_S * Td0p * Xp)
 
 
-def motor_current(exy, v, Xp):
-    """Stator current phasor drawn from the bus."""
-    return (v - exy) / (1j * Xp)
-
-
-def motor_torque(exy, v, Xp):
-    """Electrical torque (equals terminal active power, lossless stator)."""
-    return (exy.real * v.imag - exy.imag * v.real) / Xp
-
-
 def motor_pq(X, Xp, Td0p, s, v):
     """Steady-state (P, Q) drawn at slip s and voltage phasor v."""
     alpha = s * OMEGA_S * Td0p

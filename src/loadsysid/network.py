@@ -205,13 +205,12 @@ def load_case(case_text):
     return NetworkCase(buses, branches, gens, loads)
 
 
-def build_admittance(case, fold_constant_loads=False, exclude_bus=None, pf=None):
+def build_admittance(case, fold_constant_loads=False, pf=None):
     """Nodal admittance matrix of the branch network.
 
-    With ``fold_constant_loads`` every constant-impedance load (except the
-    one at ``exclude_bus``) is converted to a shunt admittance
-    y = (P - jQ)/V^2 at its solved voltage and added to the diagonal, which
-    requires a power-flow solution ``pf``.
+    With ``fold_constant_loads`` every constant-impedance load is converted
+    to a shunt admittance y = (P - jQ)/V^2 at its solved voltage and added
+    to the diagonal, which requires a power-flow solution ``pf``.
     """
     idx = case.bus_index()
     n = case.n
@@ -230,7 +229,7 @@ def build_admittance(case, fold_constant_loads=False, exclude_bus=None, pf=None)
                 "folding constant-impedance loads requires a power-flow solution"
             )
         for ld in case.loads:
-            if ld.kind != "impedance" or ld.bus == exclude_bus:
+            if ld.kind != "impedance":
                 continue
             k = idx[ld.bus]
             v2 = pf.vm[k] ** 2

@@ -92,6 +92,11 @@ class Scenario:
                 raise ToolkitError("noise variance must be non-negative")
             if not (0.0 <= noise.start <= noise.end <= self.duration + 1e-12):
                 raise ToolkitError("noise window must lie within [0, duration]")
+            hold = noise.hold_dt if noise.hold_dt is not None else self.dt_integration
+            per = hold / self.dt_integration
+            if abs(per - round(per)) > 1e-9 or hold < self.dt_integration - 1e-12:
+                raise ToolkitError(
+                    "noise hold_dt must be an integer multiple of dt_integration")
 
     @property
     def substeps_per_sample(self):
@@ -203,7 +208,7 @@ def init_equilibrium(case, pf, motor_spec):
 
     # Dynamic admittance matrix: branch network + folded static loads +
     # machine transient reactances + the remainder shunt.
-    y = build_admittance(case, fold_constant_loads=True, exclude_bus=None, pf=pf).matrix
+    y = build_admittance(case, fold_constant_loads=True, pf=pf).matrix
     y = y.copy()
     y[m, m] += y_rem
     for g in case.generators:
@@ -460,8 +465,6 @@ def linear_response(model, disturbance, ts):
     """Exact ZOH propagation from the equilibrium; returns the (N, ny)
     delta-output record."""
     d = np.atleast_2d(np.asarray(disturbance, dtype=float))
-    if d.shape[0] < d.shape[1] and d.shape[0] == model.b.shape[1]:
-        d = d.T
     if d.shape[1] != model.b.shape[1]:
         raise ToolkitError(
             f"disturbance has {d.shape[1]} channels, model expects {model.b.shape[1]}"
@@ -470,31 +473,11 @@ def linear_response(model, disturbance, ts):
     return propagate(ad, w0 @ model.b, model.c, model.d, d)
 
 
-def simulate_linear(model, disturbance, ts, eq):
-    """Small-signal simulation packaged as an absolute measurement record."""
-    resp = linear_response(model, disturbance, ts)
-    n = resp.shape[0]
-    p = eq.params
-    base = np.array([p.V0, p.theta0, eq.tm, 0.0])
-    idx = eq.case.bus_index()
-    v6 = eq.v_eq[idx[eq.motor_bus]]
-    exy = eq.exy0
-    q0 = (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp
-    base[2] = (exy.real * v6.imag - exy.imag * v6.real) / p.Xp
-    base[3] = q0
-    data = base[None, :] + resp[:, :4]
-    time = np.arange(n) * ts
-    return MeasurementSeries(ts=ts, time=time, data=data,
-                             meta={"kind": "linear", "ts": ts})
-
-
-def _noise_sequence(rng, n_sub, dt, ts, window, duration):
-    """Per-substep white sequence whose sample-grid variance matches."""
+def _noise_sequence(rng, n_sub, dt, ts, window):
+    """Per-substep white sequence whose sample-grid variance matches; the
+    hold is a whole number of substeps (``Scenario`` checks it)."""
     hold = window.hold_dt if window.hold_dt is not None else dt
-    per = hold / dt
-    if abs(per - round(per)) > 1e-9 or hold < dt - 1e-12:
-        raise ToolkitError("noise hold_dt must be an integer multiple of dt")
-    per = int(round(per))
+    per = int(round(hold / dt))
     n_hold = -(-n_sub // per)
     scale = math.sqrt(window.variance * ts / hold)
     t_hold = np.arange(n_hold) * hold
@@ -559,13 +542,13 @@ def simulate(case, eq, scenario):
     if _active(scenario.internal):
         rng = np.random.default_rng(scenario.internal.seed)
         e_int[:-1] = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
-                                     scenario.internal, scenario.duration)
+                                     scenario.internal)
     xi_ext = np.zeros(n_sub + 1)
     ext_index, ext_dir = None, 1.0 + 0j
     if _active(scenario.external):
         rng = np.random.default_rng(scenario.external.seed)
         xi_ext[:-1] = _noise_sequence(rng, n_sub, dt, scenario.dt_sample,
-                                      scenario.external, scenario.duration)
+                                      scenario.external)
         ext_index = case.bus_index()[scenario.external.bus]
         phi = math.radians(scenario.external.direction_deg)
         ext_dir = complex(math.cos(phi), math.sin(phi))

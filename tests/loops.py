@@ -1,10 +1,12 @@
 """Slow reference implementations that the tests hold the fast paths to.
 
 The per-sample loops are the straightforward recursions that
-``greybox.propagate`` replaces in ``predict``, ``simulate_discrete`` and
-``sim.linear_response``.  ``solve_dare_loop`` is the one-model doubling
-iteration with three solves per step that ``greybox.riccati_predictors``
-replaces with one stacked solve per step.  ``rhs_full_network`` is the
+``greybox.propagate`` replaces in ``predict`` and ``sim.linear_response``.
+``simulate_discrete_loop`` propagates the discrete stochastic model (input,
+disturbance and measurement noise) and makes the records on which the
+predictor tests check the innovations.  ``solve_dare_loop`` is the
+one-model doubling iteration with three solves per step that
+``greybox.riccati_predictors`` replaces with one stacked solve per step.  ``rhs_full_network`` is the
 simulator right-hand side solved on the whole network, which ``sim._rhs``
 replaces with the reduced network map, and ``simulate_loop`` is
 ``sim.simulate``'s step solved one substep at a time, which
@@ -186,12 +188,12 @@ def rhs_full_network(eq, z, e_int=0.0, xi_ext=0.0, ext_index=None,
     return dz, v[read]
 
 
-def generator_frf_loop(gen, e_phasor, v_phasor, omega, omega_s=OMEGA_S):
+def generator_frf_loop(gen, e_phasor, v_phasor, omega):
     """Voltage-to-injected-current transfer of one classical generator,
     one frequency at a time."""
     ex, ey = e_phasor.real, e_phasor.imag
     k_delta = (ex * v_phasor.real + ey * v_phasor.imag) / gen.xdp
-    a = np.array([[0.0, omega_s], [-k_delta / gen.tj, -gen.damping / gen.tj]])
+    a = np.array([[0.0, OMEGA_S], [-k_delta / gen.tj, -gen.damping / gen.tj]])
     b = np.array([[0.0, 0.0],
                   [-ey / (gen.xdp * gen.tj), ex / (gen.xdp * gen.tj)]])
     c = np.array([[ex / gen.xdp, 0.0], [ey / gen.xdp, 0.0]])
@@ -253,22 +255,18 @@ def reduce_to_load_loop(case, eq, omega, disturbance_bus=None,
     return k_vals, kh_vals
 
 
-def load_frf_loop(params, omega, include_motor=True):
+def load_frf_loop(params, omega):
     """The load model's voltage-to-drawn-current response, one frequency
     at a time."""
     from loadsysid.freq import _output_conversion
     from loadsysid.greybox import NoiseConfig, assemble_continuous
 
     cont = assemble_continuous(params, NoiseConfig())
-    w_v, w_y, w_u = _output_conversion(params, include_motor=include_motor)
+    w_v, w_y, w_u = _output_conversion(params)
     out = np.empty((len(omega), 2, 2), dtype=complex)
     for i, w in enumerate(omega):
-        if include_motor:
-            g_pq = cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
-                                            cont.b) + cont.d
-        else:
-            g_pq = np.array([[2.0 * params.Pz / params.V0, 0.0],
-                             [2.0 * params.Qz / params.V0, 0.0]])
+        g_pq = cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
+                                        cont.b) + cont.d
         out[i] = (w_y @ g_pq + w_u) @ w_v
     return out
 
@@ -305,8 +303,7 @@ def simulate_loop(case, eq, scenario):
     for noise, seq in ((scenario.internal, e_int), (scenario.external, xi_ext)):
         if noise is not None and (noise.variance > 0 or noise.value is not None):
             seq[:-1] = _noise_sequence(np.random.default_rng(noise.seed), n_sub,
-                                       dt, scenario.dt_sample, noise,
-                                       scenario.duration)
+                                       dt, scenario.dt_sample, noise)
     if scenario.external is not None:
         ext_index = case.bus_index()[scenario.external.bus]
         phi = math.radians(scenario.external.direction_deg)

@@ -30,7 +30,6 @@ from loadsysid.greybox import (
     identify,
     identify_output_error,
     predict,
-    simulate_discrete,
     solve_dare,
 )
 from loadsysid.pipeline import run_reproduce
@@ -46,6 +45,7 @@ from loadsysid.sim import (
 )
 
 from conftest import perturbed_init
+from loops import simulate_discrete_loop
 
 SEEDS = tuple(range(1, 11))
 MEAS_VAR = (1e-9, 1e-9, 1e-8, 1e-8)
@@ -224,7 +224,7 @@ def test_criterion_05_riccati_predictor(wscc_eq):
     ])
     e = math.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
     v = math.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
-    y = simulate_discrete(disc, u, e=e, v=v)
+    y = simulate_discrete_loop(disc, u, e=e, v=v)
     _, eps = predict(pred, disc, u, y)
     band = 2.0 / math.sqrt(n - 200)
     inside_min = 20

@@ -33,7 +33,7 @@ def test_estimator_matches_scipy_csd():
     ts = 0.02
     x = rng.standard_normal((8192, 2))
     x[:, 1] = 0.4 * x[:, 0] + 0.6 * x[:, 1]
-    spec = estimate_spectrum(x, ts, segment_len=256, overlap=0.5)
+    spec = estimate_spectrum(x, ts, segment_len=256)
     f, pxy = csd(x[:, 0], x[:, 1], fs=1.0 / ts, nperseg=256, noverlap=128,
                  window="hann", detrend="constant", return_onesided=True,
                  scaling="density")
@@ -60,7 +60,7 @@ def test_sinusoid_concentrates_at_its_bin():
     f0 = k_bin / (seg * ts)
     t = np.arange(n) * ts
     x = np.sin(2 * math.pi * f0 * t)
-    spec = estimate_spectrum(x[:, None], ts, segment_len=seg, overlap=0.5)
+    spec = estimate_spectrum(x[:, None], ts, segment_len=seg)
     power = np.real(spec.matrices[:, 0, 0])
     around = power[k_bin - 1:k_bin + 2].sum()
     assert around / power.sum() > 0.9

@@ -31,7 +31,6 @@ from loadsysid.greybox import (
     predict,
     propagate,
     riccati_predictors,
-    simulate_discrete,
     solve_dare,
 )
 from loadsysid.motor import LoadParameters
@@ -232,7 +231,6 @@ def test_scalar_dare_closed_form():
     disc = GreyBoxDiscrete(
         ad=np.array([[0.5]]), bd=np.zeros((1, 2)), cd=np.array([[1.0]]),
         dd=np.zeros((1, 2)), gd=np.array([[1.0]]), hd=np.zeros((1, 1)),
-        ts=0.01,
     )
     noise = NoiseConfig(q=np.array([[1.0]]), rm=np.array([[1.0]]))
     # bypass the 2-output validation with matching shapes
@@ -347,7 +345,7 @@ def test_open_loop_predictor_equals_simulation():
     pred = open_loop_predictor(disc)
     rng = np.random.default_rng(0)
     u = 1e-3 * rng.standard_normal((120, 2))
-    y_sim = simulate_discrete(disc, u)
+    y_sim = simulate_discrete_loop(disc, u)
     yhat, eps = predict(pred, disc, u, y_sim + rng.standard_normal((120, 2)))
     assert np.max(np.abs(yhat - y_sim)) < 1e-14
 
@@ -359,18 +357,6 @@ def test_predict_zero_series():
     yhat, eps = predict(pred, disc, np.zeros((50, 2)), np.zeros((50, 2)))
     assert np.max(np.abs(yhat)) == 0.0
     assert np.max(np.abs(eps)) == 0.0
-
-
-def test_predict_rejects_sample_period_mismatch():
-    from loadsysid.series import MeasurementSeries, detrend
-
-    cont = assemble_continuous(_params(), NoiseConfig())
-    disc = discretize_zoh(cont, 0.01)
-    pred = solve_dare(disc, NoiseConfig())
-    ser = detrend(MeasurementSeries(ts=0.02, time=np.arange(30) * 0.02,
-                                    data=np.random.default_rng(0).standard_normal((30, 4))))
-    with pytest.raises(ToolkitError):
-        predict(pred, disc, ser)
 
 
 def test_innovations_white_on_matched_synthetic_data():
@@ -388,7 +374,7 @@ def test_innovations_white_on_matched_synthetic_data():
     ])
     e = np.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
     v = np.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
-    y = simulate_discrete(disc, u, e=e, v=v)
+    y = simulate_discrete_loop(disc, u, e=e, v=v)
     _, eps = predict(pred, disc, u, y)
     band = 2.0 / np.sqrt(n - 200)
     for ch in range(2):
@@ -449,8 +435,7 @@ def test_predictor_and_simulation_match_loop_oracles(seed):
     u = 1e-3 * rng.standard_normal((n, 2))
     e = rng.standard_normal((n, 1))
     v = 1e-4 * rng.standard_normal((n, 2))
-    y = simulate_discrete(disc, u, e=e, v=v)
-    assert _rel_dev(y, simulate_discrete_loop(disc, u, e=e, v=v)) < 1e-12
+    y = simulate_discrete_loop(disc, u, e=e, v=v)
     try:
         pred = solve_dare(disc, noise)
     except RiccatiError:
@@ -768,7 +753,7 @@ def test_penalty_counts_repeat_and_name_their_causes():
 def test_equilibrium_consistent_parameters_have_no_offset(wscc_eq):
     cont = assemble_continuous(wscc_eq.params, NoiseConfig())
     disc = discretize_zoh(cont, 0.01)
-    y = simulate_discrete(disc, np.zeros((40, 2)))
+    y = simulate_discrete_loop(disc, np.zeros((40, 2)))
     assert np.max(np.abs(y)) == 0.0
 
 

@@ -22,7 +22,6 @@ from loadsysid.sim import (
     linear_response,
     linearize_system,
     simulate,
-    simulate_linear,
 )
 from loadsysid.constants import OMEGA_S
 
@@ -224,14 +223,6 @@ def test_linear_response_matches_loop_oracle(wscc_case, wscc_eq, ts, n):
     got = linear_response(model, d, ts)
     want = linear_response_loop(model, d, ts)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
-
-def test_simulate_linear_series_wrapper(wscc_case, wscc_eq):
-    model = linearize_system(wscc_case, wscc_eq)
-    d = np.zeros((100, 1))
-    ser = simulate_linear(model, d, 0.01, wscc_eq)
-    assert len(ser) == 100
-    assert np.allclose(ser.v, wscc_eq.params.V0, atol=1e-12)
 
 
 def test_measurement_noise_is_seeded(wscc_case, wscc_eq):

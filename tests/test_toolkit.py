@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from loadsysid import io as tio
 from loadsysid import config, pipeline
-from loadsysid.cli import EXIT_CONFIG, EXIT_IDENT, EXIT_OK, EXIT_SIMULATION, main
+from loadsysid.cli import (
+    EXIT_CONFIG,
+    EXIT_IDENT,
+    EXIT_OK,
+    EXIT_SIMULATION,
+    _parser,
+    main,
+)
 from loadsysid.config import default_config_text, load_config
 from loadsysid.errors import (
     ConfigError,
@@ -234,6 +242,16 @@ def test_cli_rejects_bad_seed_range():
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["check", "--seed", "3"],
+                                  ["simulate", "--seeds", "1..2"]])
+def test_cli_rejects_options_the_command_ignores(argv):
+    # Parsed only: where the parser accepts the option, main would run the
+    # command.
+    with pytest.raises(SystemExit) as info:
+        _parser().parse_args(argv)
+    assert info.value.code == 2
+
+
 def test_constant_record_degenerate_diagnostics():
     from loadsysid.diagnostics import persistent_excitation_order
 
@@ -346,7 +364,8 @@ ident.restarts = 1
 @pytest.mark.parametrize("line", ["ident.free = X,Xq",
                                   "ident.init = explicit:1.0,0.2",
                                   "ident.free = X,Xp,Td0p,Tj,s0,Pz",
-                                  "ident.restart = 1"])
+                                  "ident.restart = 1",
+                                  "scenario.internal.hold = 0.0007"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(default_config_text() + "\n" + line + "\n")
@@ -428,3 +447,54 @@ def test_benchmark_trace_targets_exist():
     assert proc.returncode == 0, proc.stderr
     count, missing = json.loads(proc.stdout)
     assert count > 2 and missing == []
+
+
+# Public names that only tests call, each with the reason it stays.
+TEST_ONLY_NAMES = {
+    "freq.closed_loop_response":
+        "the paper's effective voltage-to-current relation with both "
+        "disturbance sources active",
+    "freq.superposition_decompose":
+        "the paper's split of a closed-loop record into the internal and "
+        "external disturbance paths",
+    "freq.load_noise_frf":
+        "the paper's internal-disturbance path of the load model",
+    "io.read_series":
+        "the reader of the measurement format, which the bit-exact "
+        "round-trip tests need",
+}
+
+
+def test_every_public_name_has_a_package_caller():
+    """Each public module-level function and class of the package is
+    referenced in src/, perfbench/ or scripts/ outside its own definition
+    (perfbench names traced functions as strings), or is listed in
+    ``TEST_ONLY_NAMES``."""
+    root = Path(__file__).resolve().parents[1]
+    refs = {}
+    for d in ("src", "perfbench", "scripts"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    name = node.value
+                else:
+                    continue
+                refs.setdefault(name, []).append((path, node.lineno))
+    uncalled = []
+    for path in sorted((root / "src" / "loadsysid").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in refs.get(node.name, [])):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)
