@@ -19,6 +19,7 @@ from loadsysid.errors import (
     SimulationError,
     ToolkitError,
 )
+from loadsysid.greybox import FREE_DEFAULT
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +51,10 @@ def _parser():
     return p
 
 
-def _load(args):
-    if args.config is None:
-        return load_config(default_config_text(), seed_override=args.seed)
-    return load_config_file(args.config, seed_override=args.seed)
+def _load(config, seed):
+    if config is None:
+        return load_config(default_config_text(), seed_override=seed)
+    return load_config_file(config, seed_override=seed)
 
 
 def _seed_range(spec):
@@ -88,7 +89,7 @@ def main(argv=None):
     try:
         if args.command == "check":
             return _run_check()
-        cfg = _load(args)
+        cfg = _load(args.config, args.seed)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "simulate":
             pipeline.run_simulate(cfg, out)
@@ -115,25 +116,24 @@ def main(argv=None):
 def _batch_reproduce(args, out):
     from loadsysid import io as tio
 
+    if args.seed is not None:
+        raise ConfigError("--seed and --seeds cannot be used together")
     seeds = _seed_range(args.seeds)
     rows = []
     for seed in seeds:
-        if args.config is None:
-            cfg = load_config(default_config_text(), seed_override=seed)
-        else:
-            cfg = load_config_file(args.config, seed_override=seed)
+        cfg = _load(args.config, seed)
         run_dir = Path(out) / f"seed_{seed}"
         bundle = pipeline.run_reproduce(cfg, run_dir)
         truth = bundle["system"][2].params
         row = [seed]
         for method in pipeline.METHODS:
             est = bundle["results"][method].params
-            for name in ("X", "Xp", "Td0p", "Tj", "s0"):
+            for name in FREE_DEFAULT:
                 row.append(getattr(est, name) / getattr(truth, name) - 1.0)
         rows.append(row)
     columns = ["seed"]
     for method in pipeline.METHODS:
-        columns += [f"{method}_{n}_relerr" for n in ("X", "Xp", "Td0p", "Tj", "s0")]
+        columns += [f"{method}_{n}_relerr" for n in FREE_DEFAULT]
     Path(out).mkdir(parents=True, exist_ok=True)
     tio.write_table(Path(out) / "aggregate.csv", columns, rows)
 

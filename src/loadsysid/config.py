@@ -12,54 +12,31 @@ from importlib.resources import files as _pkg_files
 from pathlib import Path
 
 from loadsysid.errors import ConfigError
-from loadsysid.greybox import FREE_ALL
+from loadsysid.greybox import FREE_ALL, FREE_DEFAULT
 from loadsysid.motor import MotorSpec
 from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
-
-# Parameters an ``explicit:`` initial guess sets, in order.
-EXPLICIT_INIT = ("X", "Xp", "Td0p", "Tj", "s0")
-
-# Every key a configuration may set, read or not: a window's keys stay
-# valid while its variance is zero.
-KNOWN_KEYS = frozenset(
-    ["case", "seed", "out", "analysis.start", "analysis.end"]
-    + [f"scenario.{k}" for k in ("duration", "ts", "dt_integration")]
-    + [f"scenario.internal.{k}" for k in ("variance", "start", "end", "hold")]
-    + [f"scenario.external.{k}" for k in (
-        "variance", "start", "end", "hold", "seed_offset", "bus",
-        "direction_deg")]
-    + [f"scenario.measurement.{k}" for k in (
-        "v", "theta", "p", "q", "seed_offset")]
-    + [f"diagnostics.{k}" for k in (
-        "band_low_hz", "band_high_hz", "segment", "info_segment",
-        "pe_order_max", "pad_factor")]
-    + [f"motor.{k}" for k in ("X", "Xp", "Td0p", "Tj", "s0")]
-    + [f"ident.{k}" for k in (
-        "init", "restarts", "burn_in", "q", "rm", "free", "maxiter")]
-)
 
 
 @dataclass
 class ExperimentConfig:
-    case_path: str
     case_text: str
     scenario: Scenario
     analysis_window: tuple
     motor: MotorSpec
-    band_hz: tuple = (0.0, 10.0)
-    segment: int = 64
-    info_segment: int = 32
-    pe_order_max: int = 60
-    pad_factor: int = 4
-    ident_init: str = "perturbed:30"
-    ident_restarts: int = 2
-    ident_burn_in: int = 50
-    ident_q: float = 0.002
-    ident_rm: float = 1e-8
-    ident_free: tuple = ("X", "Xp", "Td0p", "Tj", "s0")
-    ident_maxiter: int = 300
-    seed: int = 1
-    out_dir: str = "out"
+    band_hz: tuple
+    segment: int
+    info_segment: int
+    pe_order_max: int
+    pad_factor: int
+    ident_init: str
+    ident_restarts: int
+    ident_burn_in: int
+    ident_q: float
+    ident_rm: float
+    ident_free: tuple
+    ident_maxiter: int
+    seed: int
+    out_dir: str
 
 
 def _parse_kv(text):
@@ -78,14 +55,26 @@ def _parse_kv(text):
 
 
 def _get(values, key, cast, default=None, required=False):
+    """Cast and remove ``values[key]``; what is left over once the
+    configuration is built is unknown."""
     if key not in values:
         if required:
             raise ConfigError(f"missing required key {key!r}")
         return default
+    raw = values.pop(key)
     try:
-        return cast(values[key])
+        return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({exc})") from exc
+        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+
+
+def _window(values, name, duration):
+    """A noise window's keys, read whether or not its variance is zero."""
+    key = f"scenario.{name}."
+    return {"variance": _get(values, key + "variance", float, 0.0),
+            "start": _get(values, key + "start", float, 0.0),
+            "end": _get(values, key + "end", float, duration),
+            "hold_dt": _get(values, key + "hold", float)}
 
 
 def parse_init(mode):
@@ -99,66 +88,52 @@ def parse_init(mode):
             return "perturbed", float(arg)
         if kind == "explicit":
             values = [float(v) for v in arg.split(",")]
-            if len(values) == len(EXPLICIT_INIT):
-                return "explicit", dict(zip(EXPLICIT_INIT, values))
+            if len(values) == len(FREE_DEFAULT):
+                return "explicit", dict(zip(FREE_DEFAULT, values))
     except ValueError:
         pass
     raise ConfigError(f"bad ident.init mode {mode!r}: expected truth, "
                       f"perturbed:<percent> or explicit:"
-                      f"{','.join(EXPLICIT_INIT)}")
+                      f"{','.join(FREE_DEFAULT)}")
 
 
 def resolve_case(name_or_path, base_dir=None):
-    """Bundled case name or a path to a case file."""
+    """Text of a bundled case, by name, or of a case file."""
     bundled = _pkg_files("loadsysid.cases")
     candidate = bundled.joinpath(f"{name_or_path}.case")
     if candidate.is_file():
-        return str(candidate), candidate.read_text()
+        return candidate.read_text()
     path = Path(name_or_path)
     if not path.is_absolute() and base_dir is not None:
         path = Path(base_dir) / path
     if not path.is_file():
         raise ConfigError(f"case file not found: {name_or_path}")
-    return str(path), path.read_text()
+    return path.read_text()
 
 
 def load_config(text, base_dir=None, seed_override=None):
     values = _parse_kv(text)
-    unknown = sorted(set(values) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys {unknown}")
-    seed = seed_override if seed_override is not None else _get(
-        values, "seed", int, 1)
+    seed = _get(values, "seed", int, 1)
+    if seed_override is not None:
+        seed = seed_override
 
-    case_path, case_text = resolve_case(
-        _get(values, "case", str, "wscc9"), base_dir)
+    case_text = resolve_case(_get(values, "case", str, "wscc9"), base_dir)
 
     duration = _get(values, "scenario.duration", float, 20.0)
     ts = _get(values, "scenario.ts", float, 0.01)
     dt = _get(values, "scenario.dt_integration", float, 0.0005)
 
-    internal = None
-    if _get(values, "scenario.internal.variance", float, 0.0) > 0:
-        hold = _get(values, "scenario.internal.hold", float, None)
-        internal = NoiseWindow(
-            variance=_get(values, "scenario.internal.variance", float),
-            start=_get(values, "scenario.internal.start", float, 0.0),
-            end=_get(values, "scenario.internal.end", float, duration),
-            seed=seed,
-            hold_dt=hold,
-        )
-    external = None
-    if _get(values, "scenario.external.variance", float, 0.0) > 0:
-        external = ExternalNoise(
-            variance=_get(values, "scenario.external.variance", float),
-            start=_get(values, "scenario.external.start", float, 0.0),
-            end=_get(values, "scenario.external.end", float, duration),
-            seed=seed + _get(values, "scenario.external.seed_offset", int, 1000),
-            hold_dt=_get(values, "scenario.external.hold", float, None),
-            bus=_get(values, "scenario.external.bus", int, required=True),
-            direction_deg=_get(values, "scenario.external.direction_deg",
-                               float, 0.0),
-        )
+    internal = _window(values, "internal", duration)
+    internal = (NoiseWindow(seed=seed, **internal)
+                if internal["variance"] > 0 else None)
+    external = _window(values, "external", duration)
+    active = external["variance"] > 0
+    external.update(
+        seed=seed + _get(values, "scenario.external.seed_offset", int, 1000),
+        bus=_get(values, "scenario.external.bus", int, required=active),
+        direction_deg=_get(values, "scenario.external.direction_deg",
+                           float, 0.0))
+    external = ExternalNoise(**external) if active else None
     mvar = tuple(
         _get(values, f"scenario.measurement.{c}", float, 0.0)
         for c in ("v", "theta", "p", "q")
@@ -198,14 +173,14 @@ def load_config(text, base_dir=None, seed_override=None):
     parse_init(init_mode)
     free = tuple(
         s.strip() for s in _get(values, "ident.free", str,
-                                "X,Xp,Td0p,Tj,s0").split(",") if s.strip()
+                                ",".join(FREE_DEFAULT)).split(",")
+        if s.strip()
     )
     unknown = [name for name in free if name not in FREE_ALL]
     if unknown:
         raise ConfigError(f"ident.free names unknown parameters {unknown}; "
                           f"choose from {FREE_ALL}")
     cfg = ExperimentConfig(
-        case_path=case_path,
         case_text=case_text,
         scenario=scenario,
         analysis_window=window,
@@ -225,6 +200,8 @@ def load_config(text, base_dir=None, seed_override=None):
         seed=seed,
         out_dir=_get(values, "out", str, "out"),
     )
+    if values:
+        raise ConfigError(f"unknown configuration keys {sorted(values)}")
     return cfg
 
 

@@ -15,6 +15,16 @@ import numpy as np
 
 from loadsysid.errors import SpectrumError, ToolkitError
 
+# A band bin is informative when its min/max eigenvalue ratio clears this.
+EIG_RATIO_FLOOR = 1e-6
+# A persistent-excitation order holds while its condition number stays
+# below the reciprocal of this.
+SINGULARITY_THRESHOLD = 1e-10
+# Shortest zero padding of a response-filtered record, in seconds.
+MIN_PAD_SECONDS = 60.0
+# Loop-consistency NRMSE above which a record is feedforward-dominant.
+NRMSE_THRESHOLD = 0.15
+
 
 @dataclass
 class SpectrumEstimate:
@@ -38,9 +48,7 @@ def estimate_spectrum(signals, ts, segment_len=256):
     periodic Hann window, the standard choice for averaged periodograms.
     Requires at least two segments of data.
     """
-    x = np.atleast_2d(np.asarray(signals, dtype=float))
-    if x.shape[0] < x.shape[1]:
-        x = x.T
+    x = np.asarray(signals, dtype=float)
     n, c = x.shape
     if n < 2 * segment_len:
         raise SpectrumError(
@@ -75,11 +83,11 @@ class InformativenessReport:
     informative: bool
 
 
-def informativeness_test(spectrum, band_hz=(0.0, 10.0), eig_ratio_floor=1e-6):
+def informativeness_test(spectrum, band_hz=(0.0, 10.0)):
     """Joint input-output spectrum positivity check.
 
     Reports the min/max eigenvalue ratio per bin over the band; the verdict
-    is positive when every bin's ratio clears the floor.
+    is positive when every bin's ratio clears ``EIG_RATIO_FLOOR``.
     """
     if spectrum.hermitian_defect() > 1e-9 * max(
         1e-300, float(np.max(np.abs(spectrum.matrices)))
@@ -95,9 +103,9 @@ def informativeness_test(spectrum, band_hz=(0.0, 10.0), eig_ratio_floor=1e-6):
     return InformativenessReport(
         omega=omega,
         eig_ratio=ratios,
-        floor=eig_ratio_floor,
+        floor=EIG_RATIO_FLOOR,
         band_hz=tuple(band_hz),
-        informative=bool(np.all(ratios > eig_ratio_floor)),
+        informative=bool(np.all(ratios > EIG_RATIO_FLOOR)),
     )
 
 
@@ -110,10 +118,9 @@ class PEReport:
 
 
 def sample_autocovariance(u, max_lag):
-    """Biased sample autocovariance blocks R(tau), tau = 0..max_lag."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] < u.shape[1]:
-        u = u.T
+    """Biased sample autocovariance blocks R(tau), tau = 0..max_lag, of an
+    (N, channels) record."""
+    u = np.asarray(u, dtype=float)
     n, c = u.shape
     u = u - u.mean(axis=0)
     r = np.empty((max_lag + 1, c, c))
@@ -122,19 +129,16 @@ def sample_autocovariance(u, max_lag):
     return r
 
 
-def persistent_excitation_order(u, n_max, singularity_threshold=1e-10):
+def persistent_excitation_order(u, n_max):
     """Largest verified persistent-excitation order of a record.
 
-    Builds the block-Toeplitz autocovariance matrix of order ``n_max``,
-    whose leading principal blocks are the matrices of the lower orders,
-    and accepts an order while its condition number stays below the
-    reciprocal of the singularity threshold.  Orders are verified
-    incrementally so the result is monotone by construction.
+    Builds the block-Toeplitz autocovariance matrix of order ``n_max`` of
+    the (N, channels) record ``u``, whose leading principal blocks are the
+    matrices of the lower orders, and accepts an order while its condition
+    number stays below the reciprocal of ``SINGULARITY_THRESHOLD``.  Orders
+    are verified incrementally so the result is monotone by construction.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] < u.shape[1]:
-        u = u.T
-    n = u.shape[0]
+    n = len(u)
     if n_max > n // 3:
         raise ToolkitError(
             f"order {n_max} unreliable for a record of {n} samples"
@@ -150,7 +154,7 @@ def persistent_excitation_order(u, n_max, singularity_threshold=1e-10):
     orders = np.arange(1, n_max + 1)
     conds = np.empty(n_max)
     verified = 0
-    cond_cap = 1.0 / singularity_threshold
+    cond_cap = 1.0 / SINGULARITY_THRESHOLD
     for ni in orders:
         conds[ni - 1] = np.linalg.cond(big[:ni * c, :ni * c])
         if conds[ni - 1] < cond_cap and verified == ni - 1:
@@ -159,7 +163,7 @@ def persistent_excitation_order(u, n_max, singularity_threshold=1e-10):
         orders=orders,
         conditions=conds,
         verified_order=int(verified),
-        threshold=singularity_threshold,
+        threshold=SINGULARITY_THRESHOLD,
     )
 
 
@@ -173,19 +177,15 @@ def bias_bound(h_true, h_model, lambda0, phi_u, phi_u_noise):
     """
     omega, mats_u = phi_u
     _, mats_e = phi_u_noise
-    lam = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    sbar_lam = float(np.linalg.svd(lam, compute_uv=False)[0])
+    sbar_lam = float(np.linalg.svd(lambda0, compute_uv=False)[0])
     dh = h_true.interp(omega) - h_model.interp(omega)
     out = np.empty(len(omega))
     for i in range(len(omega)):
-        su = np.linalg.svd(np.atleast_2d(mats_u[i]), compute_uv=False)
-        smin_u = float(su[-1])
+        smin_u = float(np.linalg.svd(mats_u[i], compute_uv=False)[-1])
         if smin_u <= 0.0:
             raise SpectrumError(f"singular input spectrum at bin {i}")
-        sbar_e = float(np.linalg.svd(np.atleast_2d(mats_e[i]),
-                                     compute_uv=False)[0])
-        sbar_dh = float(np.linalg.svd(np.atleast_2d(dh[i]),
-                                      compute_uv=False)[0])
+        sbar_e = float(np.linalg.svd(mats_e[i], compute_uv=False)[0])
+        sbar_dh = float(np.linalg.svd(dh[i], compute_uv=False)[0])
         out[i] = sbar_dh * math.sqrt(sbar_lam / smin_u) * math.sqrt(
             sbar_e / smin_u)
     return omega, out
@@ -218,18 +218,18 @@ def rect_deltas(series):
     return out - out.mean(axis=0)
 
 
-def filtered_current(resp_eval, v_rect, ts, pad_factor=4, min_pad_seconds=60.0):
+def filtered_current(resp_eval, v_rect, ts, pad_factor=4):
     """Response-filtered voltage record via zero-padded convolution.
 
     ``resp_eval`` maps an angular-frequency grid to (n, 2, 2) response
     values; it is evaluated exactly on the padded FFT grid, which keeps the
     sharp network resonances resolved.  Zero padding realizes plain (not
     circular) convolution, valid because the record starts at rest; the
-    floor on the pad length keeps slow-mode tails from wrapping into short
-    records.
+    floor ``MIN_PAD_SECONDS`` on the pad length keeps slow-mode tails from
+    wrapping into short records.
     """
     n = len(v_rect)
-    n_pad = max(pad_factor * n, int(round(min_pad_seconds / ts)))
+    n_pad = max(pad_factor * n, int(round(MIN_PAD_SECONDS / ts)))
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=ts)
     omega_eval = np.where(omega <= 0.0, 1e-9, omega)
     values = resp_eval(omega_eval)
@@ -255,8 +255,7 @@ def _coherence_weighted_nrmse(i_meas, i_pred, ts, segment_len):
     return math.sqrt(num / den) if den > 0 else math.inf
 
 
-def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4,
-                    nrmse_threshold=0.15):
+def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4):
     """Does the measured record follow the network response or the load?
 
     Filters the measured voltage deltas through the equivalent network
@@ -317,7 +316,7 @@ def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4,
         coherence=coh,
         dist_network=dist_k,
         dist_load=dist_g,
-        feedforward_dominant=bool(cw_k > nrmse_threshold),
+        feedforward_dominant=bool(cw_k > NRMSE_THRESHOLD),
         time=series.time.copy(),
         i_measured=i_rect,
         i_network=i_net,

@@ -21,10 +21,6 @@ class PowerFlowError(ToolkitError):
         self.mismatch = mismatch
 
 
-class StateError(ToolkitError):
-    """Operation requested before its prerequisite state exists."""
-
-
 class EquilibriumError(ToolkitError):
     """No physical equilibrium for the requested loading."""
 

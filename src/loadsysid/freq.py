@@ -34,8 +34,6 @@ class FrequencyResponse:
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim == 2:
-            self.values = self.values[:, :, None]
         if len(self.omega) != self.values.shape[0]:
             raise ToolkitError("grid and value counts differ")
         if np.any(np.diff(self.omega) <= 0):

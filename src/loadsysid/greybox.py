@@ -33,7 +33,7 @@ from loadsysid.motor import LoadParameters, emf_steady_state
 # freed; untying it opens a flat escape direction in which the optimizer
 # shrinks the deterministic path and inflates the noise gain.
 FREE_DEFAULT = ("X", "Xp", "Td0p", "Tj", "s0")
-FREE_ALL = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0")
+FREE_ALL = FREE_DEFAULT + ("Exp0", "Eyp0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
 
@@ -704,7 +704,6 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
 
     eval_count = [0]
     penalties = dict.fromkeys(PENALTY_CAUSES, 0)
-    last_value = [penalty]
     best_seen = [penalty, None]  # best evaluated point, robust to line-search
     # failures on the penalty plateau
 
@@ -731,7 +730,6 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
             val = result[0] if cause is None else penalty
             if cause is not None:
                 penalties[cause] += 1
-            last_value[0] = val
             if val < best_seen[0]:
                 best_seen[0] = val
                 best_seen[1] = x
@@ -759,8 +757,8 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
         local_trace = []
         best_seen[0], best_seen[1] = penalty, None
 
-        def cb(xk):
-            local_trace.append(float(last_value[0]))
+        def cb(intermediate_result):
+            local_trace.append(float(intermediate_result.fun))
 
         try:
             res = minimize(

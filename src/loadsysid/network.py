@@ -8,19 +8,18 @@ so index 2i is the x component of bus-slot i and 2i+1 the y component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from loadsysid.errors import (
-    CaseParseError,
-    CaseValidationError,
-    PowerFlowError,
-    StateError,
-)
+from loadsysid.errors import CaseParseError, CaseValidationError, PowerFlowError
 
 BUS_KINDS = ("slack", "pv", "pq")
 LOAD_KINDS = ("impedance", "motor", "injection")
+
+# Newton power flow: largest mismatch accepted, and the iteration budget.
+PF_TOL = 1e-8
+PF_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -130,13 +129,6 @@ class NetworkCase:
 
 
 @dataclass
-class AdmittanceMatrix:
-    order: int
-    matrix: np.ndarray  # complex (order, order)
-    folded_loads: list[int] = field(default_factory=list)
-
-
-@dataclass
 class PowerFlowSolution:
     vm: np.ndarray       # voltage magnitude per bus slot, p.u.
     va: np.ndarray       # voltage angle per bus slot, rad
@@ -205,12 +197,12 @@ def load_case(case_text):
     return NetworkCase(buses, branches, gens, loads)
 
 
-def build_admittance(case, fold_constant_loads=False, pf=None):
-    """Nodal admittance matrix of the branch network.
+def build_admittance(case, pf=None):
+    """Complex nodal admittance matrix of the branch network.
 
-    With ``fold_constant_loads`` every constant-impedance load is converted
-    to a shunt admittance y = (P - jQ)/V^2 at its solved voltage and added
-    to the diagonal, which requires a power-flow solution ``pf``.
+    Given a power-flow solution ``pf``, every constant-impedance load is
+    converted to a shunt admittance y = (P - jQ)/V^2 at its solved voltage
+    and added to the diagonal.
     """
     idx = case.bus_index()
     n = case.n
@@ -222,20 +214,14 @@ def build_admittance(case, fold_constant_loads=False, pf=None):
         y[j, j] += ys + 1j * br.b / 2.0
         y[i, j] -= ys
         y[j, i] -= ys
-    folded = []
-    if fold_constant_loads:
-        if pf is None:
-            raise StateError(
-                "folding constant-impedance loads requires a power-flow solution"
-            )
+    if pf is not None:
         for ld in case.loads:
             if ld.kind != "impedance":
                 continue
             k = idx[ld.bus]
             v2 = pf.vm[k] ** 2
             y[k, k] += (ld.p - 1j * ld.q) / v2
-            folded.append(ld.bus)
-    return AdmittanceMatrix(order=n, matrix=y, folded_loads=folded)
+    return y
 
 
 def expand_real(y):
@@ -244,13 +230,12 @@ def expand_real(y):
     Each entry g + jb becomes the block [[g, -b], [b, g]] so that stacked
     (x, y) vectors multiply exactly like the complex originals.
     """
-    m = y.matrix if isinstance(y, AdmittanceMatrix) else np.asarray(y)
-    n, nc = m.shape
+    n, nc = y.shape
     out = np.zeros((2 * n, 2 * nc))
-    out[0::2, 0::2] = m.real
-    out[1::2, 1::2] = m.real
-    out[0::2, 1::2] = -m.imag
-    out[1::2, 0::2] = m.imag
+    out[0::2, 0::2] = y.real
+    out[1::2, 1::2] = y.real
+    out[0::2, 1::2] = -y.imag
+    out[1::2, 0::2] = y.imag
     return out
 
 
@@ -265,15 +250,16 @@ def _scheduled_injections(case):
     return s
 
 
-def solve_power_flow(case, tol=1e-8, max_iter=30):
-    """Newton-Raphson power flow from a flat start.
+def solve_power_flow(case):
+    """Newton-Raphson power flow from a flat start, to ``PF_TOL`` within
+    ``PF_MAX_ITER`` steps.
 
     Full Jacobian is rebuilt and refactored every step.  Raises
     PowerFlowError with the final mismatch on divergence.
     """
     idx = case.bus_index()
     n = case.n
-    y = build_admittance(case).matrix
+    y = build_admittance(case)
     kinds = [b.kind for b in case.buses]
     slack = kinds.index("slack")
     pv = [i for i, k in enumerate(kinds) if k == "pv"]
@@ -297,10 +283,10 @@ def solve_power_flow(case, tol=1e-8, max_iter=30):
 
     it = 0
     mis, s_calc = mismatches(vm, va)
-    while np.max(np.abs(mis)) > tol:
-        if it >= max_iter:
+    while np.max(np.abs(mis)) > PF_TOL:
+        if it >= PF_MAX_ITER:
             raise PowerFlowError(
-                f"power flow did not converge in {max_iter} iterations "
+                f"power flow did not converge in {PF_MAX_ITER} iterations "
                 f"(max mismatch {np.max(np.abs(mis)):.3e})",
                 mismatch=float(np.max(np.abs(mis))),
             )

@@ -22,14 +22,21 @@ from loadsysid.diagnostics import (
 )
 from loadsysid.config import parse_init
 from loadsysid.errors import ConfigError, ToolkitError, UnstablePredictorError
-from loadsysid.greybox import NoiseConfig, evaluate_candidate, identify
+from loadsysid.greybox import (
+    FREE_ALL,
+    FREE_DEFAULT,
+    NoiseConfig,
+    evaluate_candidate,
+    identify,
+)
 from loadsysid.network import load_case, solve_power_flow
 from loadsysid.series import detrend
 from loadsysid.sim import init_equilibrium, linearize_system, simulate
 
 METHODS = ("pem-a", "pem-b", "tm")
 
-PARAM_NAMES = ("X", "Xp", "Td0p", "Tj", "s0", "Exp0", "Eyp0")
+# The held-out record shifts every noise seed by this much.
+VALIDATION_SEED_OFFSET = 7000
 
 
 def build_system(cfg):
@@ -144,7 +151,7 @@ def make_init(cfg, truth, seed):
         frac = value / 100.0
         rng = np.random.default_rng(seed + 20000)
         vals = {}
-        for name in ("X", "Xp", "Td0p", "Tj", "s0"):
+        for name in FREE_DEFAULT:
             vals[name] = getattr(truth, name) * (1.0 + frac * rng.uniform(-1, 1))
         if vals["Xp"] >= vals["X"]:
             vals["Xp"] = vals["X"] / 3.0
@@ -154,14 +161,13 @@ def make_init(cfg, truth, seed):
 
 def _noise_for(cfg, method):
     channel = {"pem-a": "torque", "pem-b": "emf-wrong", "tm": "torque"}[method]
-    mvar = np.broadcast_to(
-        np.asarray(cfg.scenario.measurement_variance, float), (4,))
-    rm = max(cfg.ident_rm, float(mvar[2:].max()), 1e-12)
+    mvar = cfg.scenario.measurement_variance
+    rm = max(cfg.ident_rm, *mvar[2:], 1e-12)
     return NoiseConfig(
         q=np.array([[cfg.ident_q]]),
         rm=rm * np.eye(2),
         channel=channel,
-        input_variance=tuple(mvar[:2]),
+        input_variance=mvar[:2],
     )
 
 
@@ -202,7 +208,7 @@ def run_identify(cfg, out_dir, series, system, method):
               for s in result.starts]
     lines += ["parameters (true vs estimated):"]
     lines += [_param_line(n, getattr(truth, n), getattr(est, n))
-              for n in PARAM_NAMES]
+              for n in FREE_ALL]
     tio.write_report(out / f"ident_{method}.txt", lines)
     tio.write_table(
         out / f"trace_{method}.csv",
@@ -221,18 +227,19 @@ def run_identify(cfg, out_dir, series, system, method):
     return result
 
 
-def validation_record(cfg, system, seed_offset=7000):
+def validation_record(cfg, system):
     """Detrended analysis window of the held-out record: the configured
-    scenario with every noise seed shifted by ``seed_offset``."""
+    scenario with every noise seed shifted by ``VALIDATION_SEED_OFFSET``."""
     case, pf, eq = system
     scenario = cfg.scenario
+    offset = VALIDATION_SEED_OFFSET
     val_scenario = replace(
         scenario,
-        internal=replace(scenario.internal, seed=cfg.seed + seed_offset)
+        internal=replace(scenario.internal, seed=cfg.seed + offset)
         if scenario.internal else None,
-        external=replace(scenario.external, seed=cfg.seed + seed_offset + 1)
+        external=replace(scenario.external, seed=cfg.seed + offset + 1)
         if scenario.external else None,
-        measurement_seed=scenario.measurement_seed + seed_offset,
+        measurement_seed=scenario.measurement_seed + offset,
     )
     series = simulate(case, eq, val_scenario)
     return detrend(series.window(*cfg.analysis_window))
@@ -290,7 +297,7 @@ def run_reproduce(cfg, out_dir):
     truth = eq.params
     lines = ["reproduction summary", f"seed = {cfg.seed}", ""]
     lines.append("true parameters:")
-    lines += [f"  {n:6s} = {getattr(truth, n)!r}" for n in PARAM_NAMES]
+    lines += [f"  {n:6s} = {getattr(truth, n)!r}" for n in FREE_ALL]
     for method in METHODS:
         r = results[method]
         lines.append("")
@@ -301,7 +308,7 @@ def run_reproduce(cfg, out_dir):
                         if math.isinf(val[method]) else ""))
         lines += ["  " + _param_line(n, getattr(truth, n),
                                      getattr(r.params, n))
-                  for n in PARAM_NAMES]
+                  for n in FREE_ALL]
     pit = diag["pitfall"]
     lines += [
         "",

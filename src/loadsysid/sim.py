@@ -65,16 +65,16 @@ class ExternalNoise(NoiseWindow):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Simulation run description.  ``measurement_variance`` adds white
-    noise of that variance to every sampled channel of the record;
-    the default leaves the records noise-free."""
+    """Simulation run description.  ``measurement_variance`` holds the
+    variances of the white noise added to the sampled (v, theta, p, q)
+    channels of the record; the default leaves the records noise-free."""
 
     duration: float
     dt_integration: float = 0.0005
     dt_sample: float = 0.01
     internal: NoiseWindow | None = None
     external: ExternalNoise | None = None
-    measurement_variance: float | tuple = 0.0
+    measurement_variance: tuple = (0.0, 0.0, 0.0, 0.0)
     measurement_seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +83,10 @@ class Scenario:
             raise ToolkitError(
                 "dt_sample must be an integer multiple of dt_integration"
             )
-        if np.any(np.asarray(self.measurement_variance) < 0):
-            raise ToolkitError("measurement variance must be non-negative")
+        if (np.shape(self.measurement_variance) != (4,)
+                or min(self.measurement_variance) < 0):
+            raise ToolkitError(
+                "measurement variance must be four non-negative values")
         for noise in (self.internal, self.external):
             if noise is None:
                 continue
@@ -208,8 +210,7 @@ def init_equilibrium(case, pf, motor_spec):
 
     # Dynamic admittance matrix: branch network + folded static loads +
     # machine transient reactances + the remainder shunt.
-    y = build_admittance(case, fold_constant_loads=True, pf=pf).matrix
-    y = y.copy()
+    y = build_admittance(case, pf)
     y[m, m] += y_rem
     for g in case.generators:
         y[idx[g.bus], idx[g.bus]] += 1.0 / (1j * g.xdp)
@@ -346,7 +347,6 @@ class LinearModel:
     c: np.ndarray
     d: np.ndarray
     state_labels: list
-    input_labels: list
     output_labels: list
 
     def output(self, name):
@@ -438,7 +438,6 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
 
     c = dg_dz + (w_g[:, None] * dv_dz[-1]).real
 
-    input_labels = ["torque_noise"]
     b_cols = [np.zeros(nx)]
     b_cols[0][rs] = 1.0 / p.Tj
     d_cols = [np.zeros(len(OUTPUT_LABELS))]
@@ -448,7 +447,6 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
             math.cos(phi), math.sin(phi))
         b_cols.append((w_f @ dv_dxi).real)
         d_cols.append((w_g * dv_dxi[-1]).real)
-        input_labels.append("current_injection")
 
     return LinearModel(
         a=a,
@@ -456,7 +454,6 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
         c=c,
         d=np.column_stack(d_cols),
         state_labels=eq.state_labels(),
-        input_labels=input_labels,
         output_labels=list(OUTPUT_LABELS),
     )
 
@@ -638,19 +635,16 @@ def simulate(case, eq, scenario):
     ))
     time = np.arange(n_samples) * n_per * dt
 
-    mvar = np.broadcast_to(np.asarray(scenario.measurement_variance, float), (4,))
+    mvar = np.asarray(scenario.measurement_variance, float)
     if np.any(mvar > 0):
         rng = np.random.default_rng(scenario.measurement_seed)
         data = data + np.sqrt(mvar)[None, :] * rng.standard_normal(data.shape)
 
     meta = {
-        "ts": scenario.dt_sample,
         "duration": scenario.duration,
-        "dt_integration": dt,
         "seed_internal": scenario.internal.seed if scenario.internal else None,
         "seed_external": scenario.external.seed if scenario.external else None,
-        "measurement_variance": tuple(np.broadcast_to(
-            np.asarray(scenario.measurement_variance, float), (4,)).tolist()),
+        "measurement_variance": tuple(mvar.tolist()),
         "windows": windows,
         "sweeps": sweeps,
         "splits": splits,

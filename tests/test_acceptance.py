@@ -198,9 +198,9 @@ def test_criterion_04_experiment_diagnostics(records):
     z = np.column_stack([win.delta("v"), win.delta("theta"),
                          win.delta("p"), win.delta("q")])
     info = informativeness_test(
-        estimate_spectrum(z, win.ts, segment_len=32), band_hz=(0, 10),
-        eig_ratio_floor=1e-6)
-    _report(4, pe.verified_order > 50 and info.informative,
+        estimate_spectrum(z, win.ts, segment_len=32), band_hz=(0, 10))
+    _report(4, pe.verified_order > 50 and info.informative
+            and info.floor == 1e-6,
             f"PE verified order {pe.verified_order} (>50), informative "
             f"(min eig ratio {info.eig_ratio.min():.2e} > 1e-6)")
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadsysid.errors import CaseParseError, CaseValidationError, PowerFlowError, StateError
+from loadsysid import network
+from loadsysid.errors import CaseParseError, CaseValidationError, PowerFlowError
 from loadsysid.network import (
     build_admittance,
     expand_real,
@@ -50,7 +51,7 @@ def test_parse_error_carries_line_number():
 
 def test_single_branch_admittance_stamp():
     case = load_case(TWO_BUS)
-    y = build_admittance(case).matrix
+    y = build_admittance(case)
     ys = 1.0 / (0.01 + 0.1j)
     expected = np.array([[ys, -ys], [-ys, ys]])
     assert np.allclose(y, expected, atol=1e-14)
@@ -68,7 +69,7 @@ def test_admittance_against_stamp_by_stamp_oracle(wscc_case):
         stamp[j, j] = ys + 1j * br.b / 2
         stamp[i, j] = stamp[j, i] = -ys
         oracle = oracle + stamp
-    y = build_admittance(wscc_case).matrix
+    y = build_admittance(wscc_case)
     assert np.max(np.abs(y - oracle)) < 1e-10
 
 
@@ -85,21 +86,15 @@ def test_row_sums_vanish_without_shunts():
 [gen]
 1 10.0 0.1
 """
-    y = build_admittance(load_case(text)).matrix
+    y = build_admittance(load_case(text))
     assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 
-def test_fold_requires_power_flow(wscc_case):
-    with pytest.raises(StateError):
-        build_admittance(wscc_case, fold_constant_loads=True)
-
-
 def test_folding_matches_shunt_formula(wscc_case, wscc_pf):
-    base = build_admittance(wscc_case).matrix
-    folded = build_admittance(wscc_case, fold_constant_loads=True,
-                              pf=wscc_pf)
+    base = build_admittance(wscc_case)
+    folded = build_admittance(wscc_case, wscc_pf)
     idx = wscc_case.bus_index()
-    diff = folded.matrix - base
+    diff = folded - base
     for ld in wscc_case.loads:
         k = idx[ld.bus]
         if ld.kind != "impedance":
@@ -107,7 +102,6 @@ def test_folding_matches_shunt_formula(wscc_case, wscc_pf):
             continue
         expect = (ld.p - 1j * ld.q) / wscc_pf.vm[k] ** 2
         assert abs(diff[k, k] - expect) < 1e-14
-        assert ld.bus in folded.folded_loads
 
 
 def test_admittance_permutation_equivariance(wscc_case, wscc_pf):
@@ -125,8 +119,8 @@ def test_admittance_permutation_equivariance(wscc_case, wscc_pf):
         loads=[Load(relabel[ld.bus], ld.p, ld.q, ld.kind)
                for ld in wscc_case.loads],
     )
-    y1 = build_admittance(wscc_case).matrix
-    y2 = build_admittance(case2).matrix
+    y1 = build_admittance(wscc_case)
+    y2 = build_admittance(case2)
     # case2's bus list preserves list order, only ids changed
     assert np.allclose(y1, y2, atol=1e-15)
 
@@ -149,7 +143,7 @@ def test_flat_no_load_solution():
 def _gauss_seidel(case, tol=1e-10, max_iter=20000):
     """Independent fixed-point power-flow oracle."""
     idx = case.bus_index()
-    y = build_admittance(case).matrix
+    y = build_admittance(case)
     kinds = [b.kind for b in case.buses]
     sched = np.zeros(case.n, dtype=complex)
     for g in case.generators:
@@ -192,10 +186,13 @@ def test_power_flow_published_solution(wscc_case, wscc_pf):
     assert abs(np.degrees(wscc_pf.va[idx[6]]) - (-3.687)) < 5e-3
 
 
-def test_power_flow_residual_and_stationarity(wscc_case, wscc_pf):
+def test_power_flow_residual_and_stationarity(wscc_case, wscc_pf,
+                                              monkeypatch):
     assert wscc_pf.max_mismatch < 1e-8
     # one extra Newton iteration changes nothing beyond 1e-10
-    pf2 = solve_power_flow(wscc_case, tol=1e-13, max_iter=wscc_pf.iterations + 2)
+    monkeypatch.setattr(network, "PF_TOL", 1e-13)
+    monkeypatch.setattr(network, "PF_MAX_ITER", wscc_pf.iterations + 2)
+    pf2 = solve_power_flow(wscc_case)
     assert np.max(np.abs(pf2.vm - wscc_pf.vm)) < 1e-10
     assert np.max(np.abs(pf2.va - wscc_pf.va)) < 1e-10
 

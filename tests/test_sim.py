@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid.config import default_config_text, load_config
-from loadsysid.errors import EquilibriumError, SimulationError
+from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
 from loadsysid.motor import MotorSpec, motor_pq
 from loadsysid.network import load_case, solve_power_flow
 from loadsysid.pipeline import build_system
@@ -107,6 +107,13 @@ def test_zero_noise_hold(wscc_case, wscc_eq):
     assert len(ser) == 501
     drift = np.max(np.abs(ser.data - ser.data[0]), axis=0)
     assert np.all(drift < 1e-8)
+
+
+@pytest.mark.parametrize("mvar", [1e-8, (1e-8, 1e-8, 1e-8),
+                                  (1e-8, -1e-8, 1e-8, 1e-8)])
+def test_scenario_takes_four_measurement_variances(mvar):
+    with pytest.raises(ToolkitError):
+        Scenario(duration=1.0, measurement_variance=mvar)
 
 
 def test_simulation_determinism(wscc_case, wscc_eq):
@@ -337,7 +344,7 @@ scenario.internal.end = 6.0
 analysis.end = 6.0
 """)
     case, _, eq = build_system(cfg)
-    sc = replace(cfg.scenario, measurement_variance=0.0)
+    sc = replace(cfg.scenario, measurement_variance=(0.0, 0.0, 0.0, 0.0))
     want = simulate(case, eq, sc).data
     got = simulate(case, eq, replace(sc, dt_integration=dt)).data
     excursion = want.max(axis=0) - want.min(axis=0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid import io as tio
-from loadsysid import config, pipeline
+from loadsysid import pipeline
 from loadsysid.cli import (
     EXIT_CONFIG,
     EXIT_IDENT,
@@ -51,6 +51,16 @@ motor.s0 = 0.01
 """
 
 
+# Criterion 12's configuration: the reference experiment on a 6 s record
+# with one optimizer start.
+CRITERION_12_CFG = default_config_text() + """
+scenario.duration = 6.0
+scenario.internal.end = 6.0
+analysis.end = 6.0
+ident.restarts = 1
+"""
+
+
 @pytest.fixture(scope="module")
 def short_cfg():
     return load_config(SHORT_CFG)
@@ -76,21 +86,6 @@ def test_config_rejects_bad_lines():
         load_config(SHORT_CFG + "\ndiagnostics.band_high_hz = 80\n")
     with pytest.raises(ConfigError, match=r"\['ident.restart', 'motor.x'\]"):
         load_config(SHORT_CFG + "ident.restart = 1\nmotor.x = 3\n")
-
-
-def test_config_knows_every_key_it_reads(monkeypatch):
-    # Both noise windows active, so load_config reads every key it has.
-    read = []
-    get = config._get
-
-    def recording_get(values, key, *args, **kwargs):
-        read.append(key)
-        return get(values, key, *args, **kwargs)
-
-    monkeypatch.setattr(config, "_get", recording_get)
-    load_config(SHORT_CFG + "scenario.external.variance = 0.001\n"
-                "scenario.external.bus = 8\n")
-    assert len(read) > 30 and set(read) <= config.KNOWN_KEYS
 
 
 def test_config_missing_case_file():
@@ -322,15 +317,10 @@ def test_simulation_and_linearization_are_blas_thread_invariant():
 
 
 def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
-    # Criterion 12's configuration (6 s record, one start).  On seed 8 the
-    # pem-b estimate's predictor is unstable on the held-out record.
+    # On seed 8 the pem-b estimate's predictor is unstable on the held-out
+    # record.
     cfg_path = tmp_path / "short.cfg"
-    cfg_path.write_text(default_config_text() + """
-scenario.duration = 6.0
-scenario.internal.end = 6.0
-analysis.end = 6.0
-ident.restarts = 1
-""")
+    cfg_path.write_text(CRITERION_12_CFG)
     out = tmp_path / "out"
     rc = main(["reproduce", "--config", str(cfg_path), "--seed", "8",
                "--out", str(out)])
@@ -343,15 +333,9 @@ ident.restarts = 1
 
 
 def test_reproduce_counts_pem_b_unstable_predictors(tmp_path):
-    # Criterion 12's configuration (6 s record, one start), seed 8.  The
-    # penalty counts repeat in a second identification of the same record
-    # and stay out of the identification report.
-    cfg = load_config(default_config_text() + """
-scenario.duration = 6.0
-scenario.internal.end = 6.0
-analysis.end = 6.0
-ident.restarts = 1
-""", seed_override=8)
+    # Seed 8.  The penalty counts repeat in a second identification of the
+    # same record and stay out of the identification report.
+    cfg = load_config(CRITERION_12_CFG, seed_override=8)
     run = pipeline.run_reproduce(cfg, tmp_path / "a")
     counts = run["results"]["pem-b"].meta["penalties"]
     assert counts["unstable_predictor"] > 0
@@ -361,11 +345,34 @@ ident.restarts = 1
     assert "penalt" not in (tmp_path / "a" / "ident_pem-b.txt").read_text()
 
 
+def test_trace_holds_the_criterion_at_each_iterate(tmp_path):
+    # L-BFGS-B never accepts a step that raises the criterion, so the
+    # criterion at its iterates does not rise.
+    cfg = load_config(CRITERION_12_CFG, seed_override=1)
+    series, system = run_simulate(cfg, tmp_path)
+    result = pipeline.run_identify(cfg, tmp_path, series, system, "pem-a")
+    assert len(result.trace) > 10
+    assert np.all(np.diff(result.trace) <= 0.0)
+    _, _, rows = tio.read_table(tmp_path / "trace_pem-a.csv")
+    assert np.array_equal(rows[:, 1], result.trace)
+
+
+def test_cli_rejects_seed_with_seed_range(tmp_path):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(CRITERION_12_CFG)
+    out = tmp_path / "out"
+    rc = main(["reproduce", "--config", str(cfg_path), "--seeds", "1..1",
+               "--seed", "5", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["ident.free = X,Xq",
                                   "ident.init = explicit:1.0,0.2",
                                   "ident.free = X,Xp,Td0p,Tj,s0,Pz",
                                   "ident.restart = 1",
-                                  "scenario.internal.hold = 0.0007"])
+                                  "scenario.internal.hold = 0.0007",
+                                  "scenario.external.start = soon"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(default_config_text() + "\n" + line + "\n")
@@ -498,3 +505,57 @@ def test_every_public_name_has_a_package_caller():
                        for where, line in refs.get(node.name, [])):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)
+
+
+# Keyword options that no package code sets, each with the reason it stays.
+UNSET_OPTIONS = {
+    "freq.reduce_to_load.disturbance_bus":
+        "the paper's external-disturbance path: the bus of the injection",
+    "freq.reduce_to_load.direction_deg":
+        "the paper's external-disturbance path: the injection's direction",
+    "freq.load_noise_frf.noise":
+        "the paper's internal-disturbance path: the noise channel",
+    "io.write_frf.label":
+        "write_frf has no package caller and stays while perfbench traces it",
+}
+
+
+def test_every_keyword_option_has_a_package_caller():
+    """Each defaulted parameter of a public module-level function of the
+    package is passed at some call in src/, perfbench/ or scripts/ (by
+    keyword, by position at or after its index, or through ``*`` or
+    ``**``), or is listed in ``UNSET_OPTIONS``.  Calls match by name."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for d in ("src", "perfbench", "scripts"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+
+    def passes(call, index, param):
+        return (any(k.arg in (param, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (index is not None and len(call.args) > index))
+
+    unset = []
+    for path in sorted((root / "src" / "loadsysid").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            options = [(i, a.arg) for i, a in enumerate(positional)
+                       if i >= first]
+            options += [(None, a.arg) for a, d
+                        in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None]
+            for index, param in options:
+                if not any(passes(call, index, param)
+                           for call in calls.get(node.name, [])):
+                    unset.append(f"{path.stem}.{node.name}.{param}")
+    assert sorted(unset) == sorted(UNSET_OPTIONS)
