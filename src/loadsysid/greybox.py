@@ -458,36 +458,46 @@ def lti_operator(a, b, c, d, blk):
 
 
 def propagate(a, b, c, d, w):
-    """Zero-state response of a discrete LTI system.
-
-    Returns the (N, ny) record y_k = C x_k + D w_k of x_{k+1} = A x_k + B w_k,
-    x_0 = 0, driven by the (N, nw) record ``w``.  The record is cut into
-    blocks of L samples.  Inside a block the forced response is one matmul
-    with the block-Toeplitz matrix of ``lti_operator``; the block-start
-    states s_j follow s_{j+1} = A^L s_j + (reachability matrix) w_j in a
-    loop of N/L steps, and their free response C A^i s_j is one more matmul.
-    The matrices and ``w`` may carry broadcasting leading axes: a stack of
-    systems gives a stack of records, and the loop steps all of them.
-    """
+    """Zero-state response of a discrete LTI system: ``propagate_from`` from
+    x_0 = 0 over blocks of ``BLOCK`` samples (fewer for a shorter record)."""
     w = np.asarray(w, dtype=float)
-    n, nw = w.shape[-2:]
-    nx, ny = a.shape[-1], c.shape[-2]
-    if n == 0:
-        return np.empty(np.broadcast_shapes(
-            a.shape[:-2], b.shape[:-2], c.shape[:-2], d.shape[:-2],
-            w.shape[:-2]) + (0, ny))
-    blk = min(BLOCK, n)
-    nb = -(-n // blk)
-    toeplitz, free, reach, a_blk = lti_operator(a, b, c, d, blk)
+    op = lti_operator(a, b, c, d, max(1, min(BLOCK, w.shape[-2])))
+    return propagate_from(op, np.zeros(a.shape[-1]), w)
 
-    wb = np.zeros(w.shape[:-2] + (nb * blk, nw))
-    wb[..., :n, :] = w
-    wb = wb.reshape(w.shape[:-2] + (nb, blk * nw))
+
+def propagate_from(op, x0, w):
+    """Response of a discrete LTI system from the state ``x0``.
+
+    Returns the (N, ny) record y_k = C x_k + D w_k of x_{k+1} = A x_k + B w_k
+    driven by the (N, nw) record ``w``, where ``op`` is the system's
+    ``lti_operator`` over blocks of L samples.  Inside a block the forced
+    response is one matmul with the block-Toeplitz matrix; the block-start
+    states s_j follow s_{j+1} = A^L s_j + (reachability matrix) w_j from
+    s_0 = x0 in a loop of N/L steps, and their free response C A^i s_j is
+    one more matmul.  A record shorter than a block reads the leading
+    slices of the maps.  ``op``, ``x0`` and ``w`` may carry broadcasting
+    leading axes (a stack of systems gives a stack of records), and the
+    loop steps all of them.
+    """
+    toeplitz, free, reach, a_blk = op
+    n, nw = w.shape[-2:]
+    blk = toeplitz.shape[-1] // nw
+    ny = free.shape[-2] // blk
+    if n < blk:
+        out = (toeplitz[..., :n * ny, :n * nw]
+               @ w.reshape(w.shape[:-2] + (n * nw, 1))
+               + free[..., :n * ny, :] @ x0[..., None])
+        return out.reshape(out.shape[:-2] + (n, ny))
+    nb = -(-n // blk)
+    wb = np.zeros(w.shape[:-2] + (nb, blk * nw))
+    wb.reshape(w.shape[:-2] + (nb * blk, nw))[..., :n, :] = w
     out = wb @ _t(toeplitz)
     # Block index first, so that each step of the loop reads one slab.
     drive = np.moveaxis(wb @ _t(reach), -2, 0)[..., None]
-    starts = np.zeros(drive.shape[:1] + np.broadcast_shapes(
-        drive.shape[1:-2], a_blk.shape[:-2]) + (nx, 1))
+    nx = x0.shape[-1]
+    starts = np.empty(drive.shape[:1] + np.broadcast_shapes(
+        drive.shape[1:-2], a_blk.shape[:-2], x0.shape[:-1]) + (nx, 1))
+    starts[0] = x0[..., None]
     for j in range(nb - 1):
         starts[j + 1] = a_blk @ starts[j] + drive[j]
     out = out + np.moveaxis(starts[..., 0], 0, -2) @ _t(free)

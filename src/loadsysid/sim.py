@@ -26,7 +26,8 @@ import numpy as np
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
-from loadsysid.greybox import lti_operator, propagate, van_loan
+from loadsysid.greybox import (BLOCK, lti_operator, propagate,
+                               propagate_from, van_loan)
 from loadsysid.motor import (
     LoadParameters,
     motor_pq,
@@ -487,10 +488,11 @@ def _noise_sequence(rng, n_sub, dt, ts, window):
     return np.repeat(values, per)[:n_sub]
 
 
-# Substeps per window of ``simulate``: the sweeps of a window share one
-# stacked RHS call among its substeps.  40 is two samples at the reference
-# settings.
-WINDOW = 40
+# Substeps per window of ``simulate``.  A sweep makes one stacked ``_rhs``
+# and one ``propagate_from`` call whatever the window length, and on a
+# small disturbance the sweeps per window grow little with it: 4.5 at 40
+# substeps, 5.8 at 800.  800 is 40 samples at the reference settings.
+WINDOW = 800
 # Sweeps a window of more than one substep gets before it is cut short.  A
 # one-substep window is the corrector: its first sweep is the predictor,
 # then it gets 25 corrector iterations.
@@ -513,12 +515,13 @@ def simulate(case, eq, scenario):
     the start and end state of every step of the window in one stacked
     ``_rhs`` call, each with its step's held disturbance ``d_k``, and
     propagates ``x_{k+1} = e^{Jh} x_k + phi_a g(z_k, d_k) + phi_b
-    g(z_{k+1}, d_k)`` from the window's start with one block
-    lower-triangular operator.  A window has converged when every substep
-    moved by less than 1e-13 (1 + |z|) in the last sweep.  A window that
-    has not after ``SWEEPS`` sweeps is split: it keeps its converged
-    leading substeps, and the next window is twice that long, at most
-    ``WINDOW`` and at least one substep.  A one-substep window is the
+    g(z_{k+1}, d_k)`` from the window's start state with one
+    ``propagate_from`` call on an operator over blocks of ``BLOCK``
+    substeps, built once per record.  A window has converged when every
+    substep moved by less than 1e-13 (1 + |z|) in the last sweep.  A
+    window that has not after ``SWEEPS`` sweeps is split: it keeps its
+    converged leading substeps, and the next window is twice that long, at
+    most ``WINDOW`` and at least one substep.  A one-substep window is the
     single step's predictor and corrector, with the corrector's
     25-iteration cap.  A step that does not converge there, or that leaves
     the slip outside (0, 1), raises ``SimulationError`` at its end time.
@@ -560,10 +563,9 @@ def simulate(case, eq, scenario):
     phi_b = w1s / dt           # weight of the remainder at the step end
     phi_a = w0 - phi_b         # weight at the step start
     nx = jac.shape[0]
-    eye = np.eye(nx)
     # A window's states x_1..x_m are the outputs y_k = e_h x_k + F_k of
     # x_{k+1} = e_h x_k + F_k from its start state x_0.
-    forced, free, _, _ = lti_operator(e_h, eye, e_h, eye, WINDOW)
+    op = lti_operator(e_h, np.eye(nx), e_h, np.eye(nx), BLOCK)
 
     z_eq = eq.equilibrium_state()
     n_samples = n_sub // n_per + 1
@@ -577,19 +579,16 @@ def simulate(case, eq, scenario):
         m = min(size, n_sub - k)
         e2 = np.tile(e_int[k:k + m], 2)
         xi2 = np.tile(xi_ext[k:k + m], 2)
-        x = np.broadcast_to(x0, (m + 1, nx))
+        x = np.broadcast_to(x0, (m, nx))      # x_1 .. x_m
         for _ in range(SWEEPS if m > 1 else 1 + CORRECTOR_ITERATIONS):
-            xs = np.concatenate((x[:-1], x[1:]))
+            xs = np.concatenate((x0[None], x[:-1], x))
             zs = z_eq + xs
             g = _rhs(eq, zs, e2, xi2, ext_index, ext_dir)[0] - xs @ jac.T
             f = g[:m] @ phi_a.T + g[m:] @ phi_b.T
-            x_new = np.empty((m + 1, nx))
-            x_new[0] = x0
-            x_new[1:] = (forced[:m * nx, :m * nx] @ f.reshape(-1)
-                         + free[:m * nx] @ x0).reshape(m, nx)
+            x_new = propagate_from(op, x0, f)
             sweeps += 1
             rhs_rows += 2 * m
-            done = (abs(x_new[1:] - x[1:]).max(axis=1)
+            done = (abs(x_new - x).max(axis=1)
                     < 1e-13 * (1.0 + abs(zs[m:]).max(axis=1)))
             x = x_new
             if done.all():
@@ -607,15 +606,15 @@ def simulate(case, eq, scenario):
         size = min(WINDOW, max(1, 2 * m))
         if m == 0:
             continue
-        slip = z_eq[-1] + x[1:m + 1, -1]
+        slip = z_eq[-1] + x[:m, -1]
         bad = np.flatnonzero(~((0.0 < slip) & (slip < 1.0)))
         if bad.size:
             t = (k + 1 + int(bad[0])) * dt
             raise SimulationError(f"slip left (0, 1) at t={t:.4f}s", t=t)
         first = -(-(k + 1) // n_per)
         rows = np.arange(first * n_per, k + m + 1, n_per)
-        samples[first:first + len(rows)] = z_eq + x[rows - k]
-        x0 = x[m]
+        samples[first:first + len(rows)] = z_eq + x[rows - k - 1]
+        x0 = x[m - 1]
         windows += 1
         k += m
 

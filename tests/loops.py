@@ -31,10 +31,11 @@ from loadsysid.greybox import van_loan
 from loadsysid.network import expand_real
 
 
-def propagate_loop(a, b, c, d, w):
-    """y_k = C x_k + D w_k, x_{k+1} = A x_k + B w_k from x_0 = 0."""
+def propagate_loop(a, b, c, d, w, x0=None):
+    """y_k = C x_k + D w_k, x_{k+1} = A x_k + B w_k from x_0 = ``x0``
+    (zero when not given)."""
     w = np.asarray(w, dtype=float)
-    x = np.zeros(a.shape[0])
+    x = np.zeros(a.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
     y = np.empty((len(w), c.shape[0]))
     for k in range(len(w)):
         y[k] = c @ x + d @ w[k]

@@ -13,6 +13,7 @@ from loadsysid.errors import (
     UnstablePredictorError,
 )
 from loadsysid.greybox import (
+    BLOCK,
     NOISE_CHANNELS,
     PENALTY_CAUSES,
     GreyBoxContinuous,
@@ -26,10 +27,12 @@ from loadsysid.greybox import (
     identify,
     identify_output_error,
     loss,
+    lti_operator,
     noise_channel_matrices,
     open_loop_predictor,
     predict,
     propagate,
+    propagate_from,
     riccati_predictors,
     solve_dare,
 )
@@ -416,6 +419,41 @@ def test_propagate_matches_loop_oracle(seed, radius, n):
     got2 = propagate(a, b, c, d, w2)
     for i in range(2):
         assert _rel_dev(got2[i], propagate_loop(a, b, c, d, w2[i])) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31),
+       st.one_of(st.floats(0.0, 0.99), st.floats(0.99, 0.9999)),
+       st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]))
+def test_propagate_from_matches_loop_oracle(seed, radius, n):
+    """The block recursion from a nonzero start state, on records shorter
+    than, equal to and longer than one block, for one system and a stack."""
+    rng = np.random.default_rng(seed)
+    nx, nw, ny = (int(v) for v in rng.integers(1, 9, size=3))
+    a = rng.standard_normal((nx, nx))
+    a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.standard_normal((nx, nw))
+    c = rng.standard_normal((ny, nx))
+    d = rng.standard_normal((ny, nw))
+    w = rng.standard_normal((n, nw))
+    x0 = rng.standard_normal(nx)
+    op = lti_operator(a, b, c, d, BLOCK)
+    got = propagate_from(op, x0, w)
+    assert got.shape == (n, ny)
+    assert _rel_dev(got, propagate_loop(a, b, c, d, w, x0)) < 1e-12
+    # A stack of three systems, each from its own start state.
+    a3 = a * np.array([1.0, 0.5, -0.9])[:, None, None]
+    x3 = rng.standard_normal((3, nx))
+    got3 = propagate_from(lti_operator(a3, b, c, d, BLOCK), x3, w)
+    assert got3.shape == (3, n, ny)
+    for i in range(3):
+        assert _rel_dev(got3[i], propagate_loop(a3[i], b, c, d, w, x3[i])) < 1e-12
+    # From a zero start it is ``propagate``, bit for bit.
+    assert np.array_equal(propagate_from(op, np.zeros(nx), w),
+                          propagate(a, b, c, d, w))
+    assert np.array_equal(
+        propagate_from(lti_operator(a3, b, c, d, BLOCK), np.zeros(nx), w),
+        propagate(a3, b, c, d, w))
 
 
 def test_propagate_empty_record():

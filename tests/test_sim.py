@@ -249,17 +249,22 @@ def test_measurement_noise_is_seeded(wscc_case, wscc_eq):
                                                   hold_dt=0.01, bus=8)),
     Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.5, 2.0, seed=5)),
     Scenario(duration=2.0, internal=NoiseWindow(0.0, 0.2, 0.5, value=0.05)),
-    # 2460 substeps: the last window is half a window.
+    # 2460 substeps: the last window is 60 substeps, two blocks of the
+    # propagation with the second one padded.
     Scenario(duration=1.23, internal=NoiseWindow(0.002, 0.5, 1.23, seed=6,
                                                  hold_dt=0.01)),
-    # The noise starts at substep 625 and ends at substep 1625, both inside
-    # a window.
+    # 2420 substeps: the last window is 20 substeps, shorter than one block.
+    Scenario(duration=1.21, internal=NoiseWindow(0.002, 0.5, 1.21, seed=9,
+                                                 hold_dt=0.01)),
+    # The noise starts at substep 625 and ends at substep 1625, inside the
+    # first and the third window.
     Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.3105, 0.8115, seed=7,
                                                 hold_dt=0.0025)),
     Scenario(duration=2.0, external=ExternalNoise(0.002, 0.5, 2.0, seed=8,
                                                   bus=8)),
 ], ids=["torque-hold-10ms", "bus8-hold-10ms", "hold-dt", "pulse",
-        "short-last-window", "noise-mid-window", "bus8-hold-dt"])
+        "short-last-window", "sub-block-last-window", "noise-mid-window",
+        "bus8-hold-dt"])
 def test_simulate_matches_substep_loop(wscc_case, wscc_eq, scenario):
     """Solving a window of substeps by fixed-point sweeps moves the record
     by no more than rounding from solving one substep at a time."""
@@ -272,9 +277,10 @@ def test_simulate_matches_substep_loop(wscc_case, wscc_eq, scenario):
 
 def test_simulate_rhs_calls_per_substep(wscc_case, wscc_eq, monkeypatch):
     """``simulate`` reaches ``_rhs`` through the module attribute, and the
-    sweeps of a window share one stacked call among its substeps: about
-    0.09 calls per substep on this record (4.5 sweeps per 40-substep
-    window plus the sample-time call)."""
+    sweeps of a window share one stacked call among its substeps: 27 calls
+    for 4000 substeps on this record (25 sweeps in five 800-substep
+    windows, the linearization and the sample-time call), 0.00675 per
+    substep.  The bound is twice that."""
     calls = [0]
     rhs = sim._rhs
 
@@ -287,7 +293,7 @@ def test_simulate_rhs_calls_per_substep(wscc_case, wscc_eq, monkeypatch):
                   internal=NoiseWindow(0.002, 0.5, 2.0, seed=1, hold_dt=0.01))
     simulate(wscc_case, wscc_eq, sc)
     n_sub = int(round(sc.duration / sc.dt_integration))
-    assert calls[0] <= 0.2 * n_sub
+    assert calls[0] <= 0.0135 * n_sub
 
 
 @pytest.mark.parametrize("value, t_fail", [
@@ -309,8 +315,10 @@ def test_simulate_fails_where_the_substep_loop_fails(wscc_case, wscc_eq,
 
 
 def test_simulate_splits_windows_through_a_large_step(wscc_case, wscc_eq):
-    """A 1 pu torque step is too far from the equilibrium for 40-substep
-    windows to converge; split windows carry the record through it."""
+    """A 1 pu torque step is too far from the equilibrium for full
+    ``WINDOW``-substep windows to converge; split windows, most of them
+    shorter than one block of the propagation, carry the record through
+    it."""
     sc = Scenario(duration=2.0, internal=NoiseWindow(0.0, 0.2, 2.0, value=1.0))
     series = simulate(wscc_case, wscc_eq, sc)
     want = simulate_loop(wscc_case, wscc_eq, sc)
