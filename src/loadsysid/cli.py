@@ -8,8 +8,16 @@ failure, 5 acceptance violation in check mode.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller set the variables, before pipeline loads
+# numpy: numpy and scipy each run their own OpenBLAS pool, and at the default
+# count the two fight over the cores (11 s against 1.6-1.9 s for the
+# reference reproduce on two cores).  The matrices gain nothing from threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from loadsysid import pipeline
 from loadsysid.config import default_config_text, load_config, load_config_file

@@ -551,13 +551,14 @@ def fit_percent(y, yhat):
 
 
 def _series_arrays(series):
+    """Input and output deltas, (N, 2) each, of a detrended record and the
+    operating point (V0, theta0) that its means give the model."""
     if not getattr(series, "detrended", False):
         raise ToolkitError("identification requires a detrended series")
     u = np.column_stack([series.delta("v"), series.delta("theta")])
     y = np.column_stack([series.delta("p"), series.delta("q")])
-    v0 = float(series.means[0])
-    theta0 = float(series.means[1])
-    return u, y, v0, theta0
+    return u, y, {"V0": float(series.means[0]),
+                  "theta0": float(series.means[1])}
 
 
 def gaussian_criterion(eps, s):
@@ -666,39 +667,38 @@ def _default_bounds(init, free):
     return bounds
 
 
-def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
-             n_restarts=2, burn_in=50, seed=0, maxiter=300, method="pem-a"):
+def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
+             burn_in=50, seed=0, maxiter=300, method="pem-a"):
     """Prediction-error estimate of the free load parameters.
 
     Each candidate re-runs the full assemble / discretize / gain / predict
     chain; the forward-difference points of each L-BFGS-B gradient run
-    through it as one stack (``evaluate_candidates``).  ``meta["n_eval"]``
-    counts candidates and ``meta["penalties"]`` the penalty returns by cause
-    (``PENALTY_CAUSES``).  The best of the multi-start local searches is
-    returned.  With
-    ``method="tm"`` the gain is forced to zero: the output-error baseline.
-    ``bounds`` overrides ``_default_bounds`` per parameter.
+    through it as one stack (``evaluate_candidates``).  Every candidate is
+    scored once: ``meta["n_eval"]`` counts them and ``meta["penalties"]``
+    the penalty returns by cause (``PENALTY_CAUSES``).  The estimate is the
+    best-scoring candidate that any of the multi-start local searches
+    evaluated, often a finite-difference point rather than L-BFGS-B's last
+    iterate, and the result is built from that candidate's evaluation.
+    ``initial_loss`` is the first value scored, at the first start clipped
+    into the box.  With ``method="tm"`` the gain is forced to zero: the
+    output-error baseline.
     """
-    u, y, v0, theta0 = _series_arrays(series)
+    u, y, operating_point = _series_arrays(series)
     ts = series.ts
-    init = replace(init, V0=v0, theta0=theta0)
+    init = replace(init, **operating_point)
     noise = noise if noise is not None else NoiseConfig()
     free = tuple(free)
-    user_bounds = dict(bounds) if bounds else {}
-    bnd = _default_bounds(init, free)
-    bnd.update(user_bounds)
     output_error = method == "tm"
 
     p_init = np.array([getattr(init, name) for name in free])
     scale = np.where(np.abs(p_init) > 0, p_init, 1.0)
-    x_bounds = []
-    for j, name in enumerate(free):
-        lo, hi = bnd[name]
-        x_bounds.append(tuple(sorted((lo / scale[j], hi / scale[j]))))
+    x_bounds = [tuple(sorted((lo / s, hi / s))) for s, (lo, hi)
+                in zip(scale, _default_bounds(init, free).values())]
     pinned = [name for name, (lo_s, hi_s) in zip(free, x_bounds) if hi_s <= lo_s]
     if pinned:
         raise ToolkitError(f"free parameters {pinned} have zero-width bounds")
 
+    # L-BFGS-B needs a number for a candidate that has no usable criterion.
     penalty = 1e6
     tie_emf = "Exp0" not in free and "Eyp0" not in free
 
@@ -712,16 +712,16 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
             p = replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
         return p
 
-    eval_count = [0]
+    scored = []  # every value handed to L-BFGS-B, in order
     penalties = dict.fromkeys(PENALTY_CAUSES, 0)
-    best_seen = [penalty, None]  # best evaluated point, robust to line-search
-    # failures on the penalty plateau
+    # Per start: (criterion, x, params, quadratic loss, predictions) of its
+    # best candidate below the penalty, or None.
+    best = []
 
     def batch_map(fun, xs):
-        """Criterion of each candidate in ``xs``, scored as one stack; the
-        counters advance in list order.  L-BFGS-B hands it the forward
-        difference points of a gradient (``fun`` is its wrapper of
-        ``objective`` and goes unused)."""
+        """Criterion of each candidate in ``xs``, scored as one stack, in
+        list order.  L-BFGS-B hands it the forward difference points of a
+        gradient (``fun`` is its wrapper of ``objective`` and goes unused)."""
         xs = [np.array(x, dtype=float) for x in xs]
         params = []
         for x in xs:
@@ -729,21 +729,23 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
                 params.append(make_params(x))
             except CaseValidationError as exc:
                 params.append(exc)
-        scored = iter(evaluate_candidates(
+        results = iter(evaluate_candidates(
             [p for p in params if not isinstance(p, Exception)], noise, u, y,
             ts, burn_in, output_error=output_error))
         values = []
         for x, p in zip(xs, params):
-            result = p if isinstance(p, Exception) else next(scored)
-            eval_count[0] += 1
+            result = p if isinstance(p, Exception) else next(results)
             cause = _penalty_cause(result)
-            val = result[0] if cause is None else penalty
-            if cause is not None:
+            if cause is None:
+                val = result[0]
+                if val < (best[-1][0] if best[-1] else penalty):
+                    # A copy: a view would pin the whole candidate stack.
+                    best[-1] = (val, x, p, result[1], result[2].copy())
+            else:
+                val = penalty
                 penalties[cause] += 1
-            if val < best_seen[0]:
-                best_seen[0] = val
-                best_seen[1] = x
             values.append(val)
+        scored.extend(values)
         return values
 
     def objective(x):
@@ -758,14 +760,12 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
             draw[j] = math.exp(rng.uniform(math.log(lo_c), math.log(hi_s)))
         starts.append(draw)
 
-    initial_loss = objective(starts[0])
-    best_fun, best_x, best_ok, best_start = penalty, None, False, None
+    chosen, converged, trace = None, False, []
     start_reports = []
-    trace = []
     for i, x0 in enumerate(starts):
         x0 = np.clip(x0, [b[0] for b in x_bounds], [b[1] for b in x_bounds])
+        best.append(None)
         local_trace = []
-        best_seen[0], best_seen[1] = penalty, None
 
         def cb(intermediate_result):
             local_trace.append(float(intermediate_result.fun))
@@ -780,34 +780,24 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
                 options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,
                          "gtol": 1e-10, "workers": batch_map},
             )
-            run_fun, run_x = float(res.fun), res.x
-            if best_seen[1] is not None and best_seen[0] < run_fun:
-                run_fun, run_x = best_seen[0], best_seen[1]
-            ok = bool(run_fun < penalty)
-            start_reports.append(
-                {"start": i, "loss": run_fun, "nit": int(res.nit),
-                 "status": res.message, "ok": ok}
-            )
-            if ok and run_fun < best_fun:
-                best_fun, best_x, best_ok = run_fun, run_x, bool(res.success)
-                best_start = i
-                trace = local_trace
         except (ToolkitError, np.linalg.LinAlgError) as exc:
             start_reports.append({"start": i, "loss": None, "ok": False,
                                   "status": str(exc)})
+            continue
+        ok = best[i] is not None
+        start_reports.append(
+            {"start": i, "loss": best[i][0] if ok else None,
+             "nit": int(res.nit), "status": res.message, "ok": ok}
+        )
+        if ok and (chosen is None or best[i][0] < best[chosen][0]):
+            chosen, converged, trace = i, bool(res.success), local_trace
 
-    if best_x is None:
+    if chosen is None:
         raise IdentificationError(
             "every identification start failed", diagnostics=start_reports
         )
 
-    x_best = best_x
-    if initial_loss < penalty and best_fun > initial_loss:
-        x_best = starts[0]
-    p_est = make_params(x_best)
-    final_crit, final_quad, yhat, eps, pred = evaluate_candidate(
-        p_est, noise, u, y, ts, burn_in, output_error=output_error
-    )
+    crit, x_best, p_est, quad, yhat = best[chosen]
     at_bound = [
         name
         for name, xv, (lo_s, hi_s) in zip(free, x_best, x_bounds)
@@ -817,21 +807,21 @@ def identify(series, init, bounds=None, noise=None, free=FREE_DEFAULT,
            in zip(("p", "q"), fit_percent(y[burn_in:], yhat[burn_in:]))}
     return IdentResult(
         params=p_est,
-        loss=final_crit,
-        initial_loss=float(initial_loss),
-        quad_loss=final_quad,
+        loss=crit,
+        initial_loss=scored[0],
+        quad_loss=quad,
         trace=trace,
         fit=fit,
-        converged=best_ok,
+        converged=converged,
         at_bound=at_bound,
         method=method,
         starts=start_reports,
         seed=seed,
         predictions=yhat,
         meta={
-            "n_eval": eval_count[0],
+            "n_eval": len(scored),
             "penalties": penalties,
-            "chosen_start": best_start,
+            "chosen_start": chosen,
         },
     )
 

@@ -26,6 +26,7 @@ from loadsysid.greybox import (
     FREE_ALL,
     FREE_DEFAULT,
     NoiseConfig,
+    _series_arrays,
     evaluate_candidate,
     identify,
 )
@@ -85,7 +86,7 @@ def run_diagnose(cfg, out_dir, series, system):
     case, pf, eq = system
     win = detrend(series.window(*cfg.analysis_window))
 
-    u = np.column_stack([win.delta("v"), win.delta("theta")])
+    u, y, _ = _series_arrays(win)
     pe = persistent_excitation_order(u, cfg.pe_order_max)
     tio.write_table(
         out / "pe_report.csv",
@@ -95,9 +96,8 @@ def run_diagnose(cfg, out_dir, series, system):
                   f"threshold={pe.threshold!r}"],
     )
 
-    z = np.column_stack([win.delta("v"), win.delta("theta"),
-                         win.delta("p"), win.delta("q")])
-    spec_z = estimate_spectrum(z, win.ts, segment_len=cfg.info_segment)
+    spec_z = estimate_spectrum(np.hstack([u, y]), win.ts,
+                               segment_len=cfg.info_segment)
     info = informativeness_test(spec_z, band_hz=cfg.band_hz)
     tio.write_table(
         out / "informativeness.csv",
@@ -216,7 +216,7 @@ def run_identify(cfg, out_dir, series, system, method):
         list(enumerate(result.trace)),
     )
 
-    y = np.column_stack([win.delta("p"), win.delta("q")])
+    _, y, _ = _series_arrays(win)
     yhat = result.predictions
     tio.write_table(
         out / f"fit_{method}.csv",
@@ -250,10 +250,8 @@ def validation_loss(cfg, system, result, method, record=None):
     (``validation_record``, simulated here unless given).  A model whose
     predictor is unstable on that record scores ``math.inf``."""
     win = record if record is not None else validation_record(cfg, system)
-    u = np.column_stack([win.delta("v"), win.delta("theta")])
-    y = np.column_stack([win.delta("p"), win.delta("q")])
-    params = replace(result.params, V0=float(win.means[0]),
-                     theta0=float(win.means[1]))
+    u, y, operating_point = _series_arrays(win)
+    params = replace(result.params, **operating_point)
     noise = _noise_for(cfg, method)
     try:
         _, quad, _, _, _ = evaluate_candidate(

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread unless the caller set the variables, before numpy loads,
+# as the command line does: numpy's and scipy's OpenBLAS pools otherwise
+# fight over the cores and the suite runs several times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -19,6 +19,7 @@ from loadsysid.greybox import (
     GreyBoxContinuous,
     GreyBoxDiscrete,
     NoiseConfig,
+    _series_arrays,
     assemble_continuous,
     discretize_zoh,
     evaluate_candidate,
@@ -601,23 +602,41 @@ def test_converged_is_the_chosen_starts_optimizer_status():
 def test_identify_failure_reports_diagnostics():
     truth = _params()
     win = _noise_free_series(truth, seed=6)
-    # impossible box: X forced below Xp so every candidate is invalid
-    bounds = {"X": (0.01, 0.02)}
+    # A zero measurement floor makes every candidate's Riccati equation
+    # singular.
     with pytest.raises(IdentificationError) as err:
-        identify(win, truth, bounds=bounds, free=("X",), n_restarts=2,
+        identify(win, truth, noise=NoiseConfig(rm=0.0), n_restarts=2,
                  burn_in=0)
     assert err.value.diagnostics
 
 
-@pytest.mark.parametrize("free, bounds", [
-    (("X", "Pz"), None),             # the default box of Pz = 0 is (0, 0)
-    (("X", "Tj"), {"Tj": (2.0, 2.0)}),
-])
-def test_identify_rejects_zero_width_bounds(free, bounds):
+def test_identify_rejects_zero_width_bounds():
+    # The default box of Pz = 0 is (0, 0).
     truth = _params(Pz=0.0)
     win = _noise_free_series(truth, seed=6)
-    with pytest.raises(ToolkitError, match=r"\['" + free[1] + r"'\] have zero-width"):
-        identify(win, truth, bounds=bounds, free=free, n_restarts=2, burn_in=0)
+    with pytest.raises(ToolkitError, match=r"\['Pz'\] have zero-width"):
+        identify(win, truth, free=("X", "Pz"), n_restarts=2, burn_in=0)
+
+
+def test_identify_starts_from_the_init_clipped_into_the_box():
+    """s0 = 0.6 lies above its box (1e-4, 0.5): the search starts at
+    s0 = 0.5, and ``initial_loss`` is the criterion there."""
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, seed=5)
+    init = replace(truth, s0=0.6)
+    res = identify(win, init, n_restarts=1, burn_in=0, maxiter=5)
+
+    def criterion(s0):
+        return evaluate_candidate(_retied(replace(init, s0=s0)), NoiseConfig(),
+                                  *_series_arrays(win)[:2], win.ts, 0)[0]
+
+    assert res.initial_loss == pytest.approx(criterion(0.5), rel=1e-9)
+    assert res.initial_loss != pytest.approx(criterion(0.6), rel=1e-3)
+    assert res.loss <= res.initial_loss
+    assert 1e-4 <= res.params.s0 <= 0.5
+    for name in ("X", "Xp", "Td0p", "Tj"):
+        v0 = getattr(init, name)
+        assert v0 / 10 <= getattr(res.params, name) <= v0 * 10
 
 
 def test_gradient_step_size_robustness():
@@ -749,15 +768,21 @@ def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
         sizes.append(len(params_list))
         return score(params_list, *args, **kwargs)
 
+    def rescoring(*args, **kwargs):
+        raise AssertionError("identify scored a candidate outside the map")
+
     monkeypatch.setattr(greybox, "evaluate_candidates", recording)
+    monkeypatch.setattr(greybox, "evaluate_candidate", rescoring)
     truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
     res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
                    n_restarts=1, burn_in=0, maxiter=5)
-    # A candidate that fails parameter validation never reaches the stack.
+    # A candidate that fails parameter validation never reaches the stack;
+    # every other one is scored once.
     assert set(sizes) - {0} == {1, 5}
-    assert res.meta["n_eval"] >= sum(sizes)
+    assert res.meta["n_eval"] == (sum(sizes)
+                                  + res.meta["penalties"]["invalid_parameters"])
 
 
 def test_output_error_overflow_is_a_counted_penalty():
@@ -779,12 +804,14 @@ def test_output_error_overflow_is_a_counted_penalty():
 def test_penalty_counts_repeat_and_name_their_causes():
     truth = _params()
     win = _noise_free_series(truth, seed=6)
-    bounds = {"X": (0.2, 20.0)}
-    runs = [identify(win, truth, bounds=bounds, n_restarts=2, seed=4,
-                     burn_in=0, maxiter=20).meta for _ in range(2)]
+    # X just above Xp: X's default box reaches below Xp's, and those
+    # candidates fail validation.
+    init = replace(truth, X=1.2 * truth.Xp)
+    runs = [identify(win, init, n_restarts=2, seed=1, burn_in=0,
+                     maxiter=20).meta for _ in range(2)]
     assert runs[0]["penalties"] == runs[1]["penalties"]
+    assert runs[0]["n_eval"] == runs[1]["n_eval"]
     assert tuple(runs[0]["penalties"]) == PENALTY_CAUSES
-    # X's widened box reaches below Xp: those candidates fail validation.
     assert 0 < runs[0]["penalties"]["invalid_parameters"] < runs[0]["n_eval"]
 
 

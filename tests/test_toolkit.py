@@ -287,6 +287,19 @@ def test_package_import_leaves_out_scipy_signal():
     assert proc.stdout.strip() == "False"
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _digest_at_threads(script, threads):
+    """stdout of ``script`` run in a fresh interpreter with every BLAS
+    thread variable at ``threads``."""
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, threads))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_simulation_and_linearization_are_blas_thread_invariant():
     # A 2 s record and the linearization, hashed at one and two BLAS threads.
     script = (
@@ -305,15 +318,47 @@ def test_simulation_and_linearization_are_blas_thread_invariant():
         "    h.update(m.tobytes())\n"
         "print(h.hexdigest())\n"
     )
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
+    assert (_digest_at_threads(script, "1")
+            == _digest_at_threads(script, "2"))
+
+
+def test_identification_is_blas_thread_invariant():
+    # A short pem-a identification of a 3 s record: the estimate and the
+    # evaluation count at one and two BLAS threads.
+    script = (
+        "from dataclasses import replace\n"
+        "from loadsysid import pipeline\n"
+        "from loadsysid.config import default_config_text, load_config\n"
+        "from loadsysid.greybox import FREE_DEFAULT, identify\n"
+        "from loadsysid.series import detrend\n"
+        "from loadsysid.sim import simulate\n"
+        "cfg = load_config(default_config_text())\n"
+        "case, _, eq = pipeline.build_system(cfg)\n"
+        "sc = replace(cfg.scenario, duration=4.5,\n"
+        "             internal=replace(cfg.scenario.internal, end=4.5))\n"
+        "win = detrend(simulate(case, eq, sc).window(1.5, 4.5))\n"
+        "r = identify(win, pipeline.make_init(cfg, eq.params, 1),\n"
+        "             noise=pipeline._noise_for(cfg, 'pem-a'), n_restarts=1,\n"
+        "             maxiter=10)\n"
+        "print([getattr(r.params, n).hex() for n in FREE_DEFAULT],\n"
+        "      r.loss.hex(), r.meta['n_eval'])\n"
+    )
+    assert (_digest_at_threads(script, "1")
+            == _digest_at_threads(script, "2"))
+
+
+def test_cli_pins_blas_threads_unless_set():
+    # Unset variables are set to 1 before numpy loads; a caller's value
+    # stays.
+    script = ("import os; os.environ['OMP_NUM_THREADS'] = '2'; "
+              "import loadsysid.cli; "
+              "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+              "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2", "1"]
 
 
 def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
