@@ -5,8 +5,10 @@ outputs (dP, dQ); every matrix entry is an explicit function of the physical
 parameters, obtained by linearizing the third-order motor model plus the
 static constant-impedance part at the operating point.  Discretization is
 exact zero-order hold.  The one-step predictor comes from the steady-state
-Kalman gain of the discrete model, and identification minimizes the mean
-squared prediction error over the free physical parameters.
+Kalman gain of the discrete model, and identification minimizes the
+Gaussian prediction-error criterion (the mean squared prediction error
+for the output-error baseline) over the free physical parameters with a
+bounded Levenberg-Marquardt search on the Fisher-scoring Hessian.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+# Nothing here calls ``minimize``: perfbench traces ``greybox.minimize`` by
+# name and stays as it is until ROADMAP item 3's benchmark PR, which drops
+# this binding with its trace target.
+from scipy.optimize import minimize  # noqa: F401
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
@@ -151,8 +156,10 @@ class IdentResult:
     """Estimation outcome.  ``loss`` is the minimized criterion (Gaussian
     likelihood rate for the innovation predictor, quadratic output error
     for the baseline); ``quad_loss`` is always the mean squared innovation
-    norm at the estimate.  ``converged`` is the optimizer's success flag of
-    the start the estimate came from (``meta["chosen_start"]``)."""
+    norm at the estimate.  ``converged`` says whether the start the
+    estimate came from (``meta["chosen_start"]``) stopped on the relative
+    decrease or the step size rather than on the damping or iteration
+    limit."""
 
     params: LoadParameters
     loss: float
@@ -667,20 +674,157 @@ def _default_bounds(init, free):
     return bounds
 
 
+# Forward-difference step of the Jacobian, in the scaled parameters (each
+# free parameter divided by its initial value, so the start is all ones).
+FD_STEP = 1e-6
+# The k trial steps of an iteration take these multiples of the damping
+# lam: DAMPING_START on a start's first iteration, then the damping of the
+# last accepted trial, kept above DAMPING_MIN so that H + lam diag H stays
+# regular.
+DAMPING_LADDER = 10.0 ** np.arange(-2.0, 2.0)
+DAMPING_START = 0.1
+DAMPING_MIN = 1e-10
+# Stopping rule of a start: a relative decrease of the criterion or a
+# largest scaled step below these, or no decrease above MAX_DAMPING.
+FTOL = 1e-10
+XTOL = 1e-10
+MAX_DAMPING = 1e10
+
+
+def _scoring(here, diffs, d):
+    """Gradient g and Fisher-scoring Hessian H of the criterion, with the
+    Jacobian J of the innovations whitened by the point's own innovation
+    covariance S and divided by sqrt(N), and dS.  ``here`` = (criterion,
+    innovations, S) is the evaluation of a point and ``diffs`` those of its
+    difference points at steps ``d`` (one per parameter).  g follows by the
+    chain rule, and H = 2 J'J + [tr(S^-1 dS_i S^-1 dS_j)] is twice the
+    Fisher information.  S is None for the output-error criterion, the
+    plain mean squared innovation: J is then unwhitened, dS is None and H
+    is the exact Gauss-Newton Hessian."""
+    _, e0, s0 = here
+    n = math.sqrt(e0.shape[0])
+    white = np.eye(e0.shape[-1]) if s0 is None else np.linalg.inv(
+        np.linalg.cholesky(s0))
+    jac = ((np.array([r[1] for r in diffs]) - e0) @ white.T).reshape(
+        len(d), -1).T / (d * n)
+    g = 2.0 * jac.T @ (e0 @ white.T).ravel() / n
+    h = 2.0 * jac.T @ jac
+    ds = None
+    if s0 is not None:
+        ds = (np.array([r[2] for r in diffs]) - s0) / d[:, None, None]
+        m = np.linalg.solve(s0, ds)
+        c = np.linalg.solve(s0, e0.T @ e0) / e0.shape[0]
+        g += np.trace(m, axis1=-2, axis2=-1) - np.einsum("iab,ba->i", m, c)
+        h += np.einsum("iab,jba->ij", m, m)
+    return g, h, jac, ds
+
+
+def _levenberg_marquardt(score, x, lo, hi, maxiter):
+    """Bounded Levenberg-Marquardt search on the Fisher-scoring Hessian
+    (Ljung, System Identification, 2nd ed., sec. 10.2; More, LNM 630).
+
+    ``score(xs)`` evaluates a list of scaled parameter vectors as one
+    stacked chain and returns, per vector, (criterion, innovations, S) or
+    the name of its penalty cause.  Each iteration scores the point's
+    forward-difference points (a point on its upper bound steps backwards;
+    a penalised point is retried on the other side in one more chain, and
+    a coordinate penalised on both sides is held) and then ``k`` damped
+    steps -(H + lam diag H)^-1 g (``_scoring``), one per damping of
+    ``DAMPING_LADDER``, clipped into the box.  The steps solve only over
+    the coordinates not held at a bound by the gradient, and the lowest
+    trial below the point's criterion is taken; if there is none, the same
+    point tries the next ``k`` dampings above.
+
+    Returns the start's report: ``status`` (the stopping rule, or why the
+    start point has no criterion), ``converged`` (stopped on the relative
+    decrease or the step), ``nit`` (trial rounds), ``chains`` (``score``
+    calls), ``rejected`` (rounds without a decrease) and ``trace`` (the
+    criterion at the start point and at each accepted iterate).
+    """
+    report = {"nit": 0, "chains": 0, "rejected": 0, "trace": [],
+              "converged": False}
+
+    def chain(xs):
+        report["chains"] += 1
+        return score(xs)
+
+    here, lam = None, DAMPING_START
+    while True:
+        sign = np.where(x + FD_STEP <= hi, 1.0, -1.0)
+        diffs = chain([x] * (here is None) + list(x + np.diag(FD_STEP * sign)))
+        if here is None:
+            here = diffs.pop(0)
+            if isinstance(here, str):
+                return dict(report, status=f"start point penalised ({here})")
+            report["trace"].append(here[0])
+        redo = [j for j, r in enumerate(diffs) if isinstance(r, str)]
+        if redo:
+            sign[redo] *= -1.0
+            back = np.diag(FD_STEP * sign)[redo]
+            for j, r in zip(redo, chain(list(x + back))):
+                diffs[j] = r
+        usable = np.array([not isinstance(r, str) for r in diffs])
+        g = np.zeros(len(x))
+        h = np.zeros((len(x), len(x)))
+        if usable.any():
+            g[usable], h[np.ix_(usable, usable)], _, _ = _scoring(
+                here, [r for r in diffs if not isinstance(r, str)],
+                FD_STEP * sign[usable])
+        free = ((np.diag(h) > 0) & ~((x <= lo) & (g > 0))
+                & ~((x >= hi) & (g < 0)))
+        hf = h[np.ix_(free, free)]
+        while True:
+            if report["nit"] >= maxiter:
+                return dict(report, status="iteration limit")
+            lams = lam * DAMPING_LADDER
+            steps = np.zeros((len(lams), len(x)))
+            steps[:, free] = -np.linalg.solve(
+                hf + lams[:, None, None] * np.diag(np.diag(hf)), g[free])
+            trials = np.clip(x + steps, lo, hi)
+            moves = np.abs(trials - x).max(axis=1)
+            if moves.max() < XTOL:
+                return dict(report, converged=True,
+                            status=f"largest scaled step < {XTOL:g}")
+            results = chain(list(trials))
+            report["nit"] += 1
+            crit = [np.inf if isinstance(r, str) else r[0] for r in results]
+            i = int(np.argmin(crit))
+            if crit[i] < here[0]:
+                break
+            report["rejected"] += 1
+            if lams[-1] > MAX_DAMPING:
+                return dict(report, status="no decrease at damping "
+                            f"> {MAX_DAMPING:g}")
+            lam = 10.0 * lams[-1] / DAMPING_LADDER[0]
+        decrease = here[0] - crit[i]
+        tol = FTOL * max(abs(here[0]), np.finfo(float).tiny)
+        x, here, lam = trials[i], results[i], max(lams[i], DAMPING_MIN)
+        report["trace"].append(here[0])
+        if decrease <= tol:
+            return dict(report, converged=True,
+                        status=f"relative decrease <= {FTOL:g}")
+        if moves[i] < XTOL:
+            return dict(report, converged=True,
+                        status=f"largest scaled step < {XTOL:g}")
+
+
 def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
              burn_in=50, seed=0, maxiter=300, method="pem-a"):
     """Prediction-error estimate of the free load parameters.
 
-    Each candidate re-runs the full assemble / discretize / gain / predict
-    chain; the forward-difference points of each L-BFGS-B gradient run
+    Each start runs ``_levenberg_marquardt`` in the scaled parameters,
+    bounded by the default box.  Each candidate re-runs the full assemble
+    / discretize / gain / predict chain, and the candidates of one search
+    step (the difference points of a Jacobian, the damped trial steps) run
     through it as one stack (``evaluate_candidates``).  Every candidate is
     scored once: ``meta["n_eval"]`` counts them and ``meta["penalties"]``
-    the penalty returns by cause (``PENALTY_CAUSES``).  The estimate is the
-    best-scoring candidate that any of the multi-start local searches
-    evaluated, often a finite-difference point rather than L-BFGS-B's last
+    those without a usable criterion by cause (``PENALTY_CAUSES``), each a
+    rejected step.  The estimate is the best-scoring candidate that any
+    start evaluated, sometimes a difference point rather than the last
     iterate, and the result is built from that candidate's evaluation.
-    ``initial_loss`` is the first value scored, at the first start clipped
-    into the box.  With ``method="tm"`` the gain is forced to zero: the
+    ``initial_loss`` is the criterion at the first start clipped into the
+    box (inf if that point has none).  ``converged`` and ``trace`` are the
+    chosen start's.  With ``method="tm"`` the gain is forced to zero: the
     output-error baseline.
     """
     u, y, operating_point = _series_arrays(series)
@@ -692,14 +836,12 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
 
     p_init = np.array([getattr(init, name) for name in free])
     scale = np.where(np.abs(p_init) > 0, p_init, 1.0)
-    x_bounds = [tuple(sorted((lo / s, hi / s))) for s, (lo, hi)
-                in zip(scale, _default_bounds(init, free).values())]
-    pinned = [name for name, (lo_s, hi_s) in zip(free, x_bounds) if hi_s <= lo_s]
+    lo, hi = np.array([sorted((a / s, b / s)) for s, (a, b)
+                       in zip(scale, _default_bounds(init, free).values())]).T
+    pinned = [name for name, a, b in zip(free, lo, hi) if b <= a]
     if pinned:
         raise ToolkitError(f"free parameters {pinned} have zero-width bounds")
 
-    # L-BFGS-B needs a number for a candidate that has no usable criterion.
-    penalty = 1e6
     tie_emf = "Exp0" not in free and "Eyp0" not in free
 
     def make_params(x):
@@ -712,17 +854,17 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
             p = replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
         return p
 
-    scored = []  # every value handed to L-BFGS-B, in order
+    n_eval = 0
     penalties = dict.fromkeys(PENALTY_CAUSES, 0)
     # Per start: (criterion, x, params, quadratic loss, predictions) of its
-    # best candidate below the penalty, or None.
+    # best candidate, or None.
     best = []
 
-    def batch_map(fun, xs):
-        """Criterion of each candidate in ``xs``, scored as one stack, in
-        list order.  L-BFGS-B hands it the forward difference points of a
-        gradient (``fun`` is its wrapper of ``objective`` and goes unused)."""
-        xs = [np.array(x, dtype=float) for x in xs]
+    def score(xs):
+        """(criterion, innovations after the burn-in, S) of each candidate
+        in ``xs``, scored as one stack, in list order; a candidate without
+        a usable criterion gives its penalty cause instead."""
+        nonlocal n_eval
         params = []
         for x in xs:
             try:
@@ -732,75 +874,52 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
         results = iter(evaluate_candidates(
             [p for p in params if not isinstance(p, Exception)], noise, u, y,
             ts, burn_in, output_error=output_error))
-        values = []
+        out = []
         for x, p in zip(xs, params):
             result = p if isinstance(p, Exception) else next(results)
             cause = _penalty_cause(result)
-            if cause is None:
-                val = result[0]
-                if val < (best[-1][0] if best[-1] else penalty):
-                    # A copy: a view would pin the whole candidate stack.
-                    best[-1] = (val, x, p, result[1], result[2].copy())
-            else:
-                val = penalty
+            if cause is not None:
                 penalties[cause] += 1
-            values.append(val)
-        scored.extend(values)
-        return values
-
-    def objective(x):
-        return batch_map(None, [x])[0]
+                out.append(cause)
+                continue
+            crit, quad, yhat, eps, pred = result
+            if best[-1] is None or crit < best[-1][0]:
+                # A copy: a view would pin the whole candidate stack.
+                best[-1] = (crit, x, p, quad, yhat.copy())
+            out.append((crit, eps[burn_in:], pred.innovation_cov))
+        n_eval += len(xs)
+        return out
 
     rng = np.random.default_rng(seed)
     starts = [np.ones(len(free))]
     for _ in range(max(0, n_restarts - 1)):
         draw = np.empty(len(free))
-        for j, (lo_s, hi_s) in enumerate(x_bounds):
+        for j, (lo_s, hi_s) in enumerate(zip(lo, hi)):
             lo_c = max(lo_s, 1e-12)
             draw[j] = math.exp(rng.uniform(math.log(lo_c), math.log(hi_s)))
         starts.append(draw)
 
-    chosen, converged, trace = None, False, []
-    start_reports = []
+    chosen, reports = None, []
     for i, x0 in enumerate(starts):
-        x0 = np.clip(x0, [b[0] for b in x_bounds], [b[1] for b in x_bounds])
         best.append(None)
-        local_trace = []
-
-        def cb(intermediate_result):
-            local_trace.append(float(intermediate_result.fun))
-
-        try:
-            res = minimize(
-                objective,
-                x0,
-                method="L-BFGS-B",
-                bounds=x_bounds,
-                callback=cb,
-                options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,
-                         "gtol": 1e-10, "workers": batch_map},
-            )
-        except (ToolkitError, np.linalg.LinAlgError) as exc:
-            start_reports.append({"start": i, "loss": None, "ok": False,
-                                  "status": str(exc)})
-            continue
+        report = _levenberg_marquardt(score, np.clip(x0, lo, hi), lo, hi,
+                                      maxiter)
         ok = best[i] is not None
-        start_reports.append(
-            {"start": i, "loss": best[i][0] if ok else None,
-             "nit": int(res.nit), "status": res.message, "ok": ok}
-        )
+        reports.append(dict(report, start=i, ok=ok,
+                            loss=best[i][0] if ok else None))
         if ok and (chosen is None or best[i][0] < best[chosen][0]):
-            chosen, converged, trace = i, bool(res.success), local_trace
+            chosen = i
 
     if chosen is None:
         raise IdentificationError(
-            "every identification start failed", diagnostics=start_reports
-        )
+            "every identification start failed: " + "; ".join(
+                f"start {r['start']} {r['status']}" for r in reports),
+            diagnostics=reports)
 
     crit, x_best, p_est, quad, yhat = best[chosen]
     at_bound = [
         name
-        for name, xv, (lo_s, hi_s) in zip(free, x_best, x_bounds)
+        for name, xv, lo_s, hi_s in zip(free, x_best, lo, hi)
         if xv - lo_s < 1e-6 * (hi_s - lo_s) or hi_s - xv < 1e-6 * (hi_s - lo_s)
     ]
     fit = {ch: float(v) for ch, v
@@ -808,18 +927,18 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     return IdentResult(
         params=p_est,
         loss=crit,
-        initial_loss=scored[0],
+        initial_loss=(reports[0]["trace"] or [math.inf])[0],
         quad_loss=quad,
-        trace=trace,
+        trace=reports[chosen]["trace"],
         fit=fit,
-        converged=converged,
+        converged=reports[chosen]["converged"],
         at_bound=at_bound,
         method=method,
-        starts=start_reports,
+        starts=reports,
         seed=seed,
         predictions=yhat,
         meta={
-            "n_eval": len(scored),
+            "n_eval": n_eval,
             "penalties": penalties,
             "chosen_start": chosen,
         },

@@ -201,8 +201,9 @@ def run_identify(cfg, out_dir, series, system, method):
         f"seed = {cfg.seed}",
         "starts:",
     ]
-    lines += [f"  start {s['start']}: nit = {s.get('nit', '-')}  "
-              f"status = {str(s['status']).strip()}"
+    lines += [f"  start {s['start']}: nit = {s['nit']}  "
+              f"chains = {s['chains']}  rejected = {s['rejected']}  "
+              f"status = {s['status']}"
               + ("  (chosen)" if s["start"] == result.meta["chosen_start"]
                  else "")
               for s in result.starts]

@@ -15,20 +15,77 @@ substeps.  The frequency loops solve one frequency at a time:
 ``reduce_to_load_loop`` eliminates everything but the motor bus from the
 full system of ``frequency_system``, which ``freq.reduce_to_load``
 replaces with one constant Kron reduction and one stacked solve.
+``identify_lbfgsb`` is the L-BFGS-B search with forward-difference
+gradients and a 1e6 penalty value that ``greybox.identify``'s bounded
+Levenberg-Marquardt search replaces.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import minimize
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
+    CaseValidationError,
     RiccatiError,
     SimulationError,
     UnstablePredictorError,
 )
-from loadsysid.greybox import van_loan
+from loadsysid.greybox import (
+    _default_bounds,
+    _penalty_cause,
+    _series_arrays,
+    evaluate_candidates,
+    van_loan,
+)
+from loadsysid.motor import emf_steady_state
 from loadsysid.network import expand_real
+
+
+def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
+    """One start of ``greybox.identify`` from the init, with the EMF pair
+    tied, searched by L-BFGS-B in the scaled parameters with
+    forward-difference gradients (scipy hands the points of each gradient
+    to ``workers``, which scores them as one stack).  A candidate without a
+    usable criterion scores 1e6.  Returns the lowest criterion scored."""
+    u, y, operating_point = _series_arrays(series)
+    init = replace(init, **operating_point)
+    scale = np.array([getattr(init, name) for name in free])
+    bounds = [tuple(sorted((lo / s, hi / s))) for s, (lo, hi)
+              in zip(scale, _default_bounds(init, free).values())]
+    scored = []
+
+    def make_params(x):
+        p = replace(init, **dict(zip(free, x * scale)))
+        e0 = emf_steady_state(p.X, p.Xp, p.Td0p, p.s0,
+                              p.V0 * np.exp(1j * p.theta0))
+        return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
+
+    def batch(fun, xs):
+        params = []
+        for x in xs:
+            try:
+                params.append(make_params(x))
+            except CaseValidationError as exc:
+                params.append(exc)
+        results = iter(evaluate_candidates(
+            [p for p in params if not isinstance(p, Exception)], noise, u, y,
+            series.ts, burn_in, output_error=method == "tm"))
+        values = []
+        for p in params:
+            result = p if isinstance(p, Exception) else next(results)
+            values.append(1e6 if _penalty_cause(result) else result[0])
+        scored.extend(values)
+        return values
+
+    x0 = np.clip(np.ones(len(free)), *np.array(bounds).T)
+    minimize(lambda x: batch(None, [x])[0], x0, method="L-BFGS-B",
+             bounds=bounds,
+             options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,
+                      "gtol": 1e-10, "workers": batch})
+    return min(scored)
 
 
 def propagate_loop(a, b, c, d, w, x0=None):

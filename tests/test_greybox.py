@@ -14,11 +14,14 @@ from loadsysid.errors import (
 )
 from loadsysid.greybox import (
     BLOCK,
+    FD_STEP,
+    FREE_DEFAULT,
     NOISE_CHANNELS,
     PENALTY_CAUSES,
     GreyBoxContinuous,
     GreyBoxDiscrete,
     NoiseConfig,
+    _scoring,
     _series_arrays,
     assemble_continuous,
     discretize_zoh,
@@ -596,7 +599,25 @@ def test_converged_is_the_chosen_starts_optimizer_status():
     assert res.loss < res.initial_loss
     assert res.meta["chosen_start"] == 0
     assert res.starts[0]["nit"] == 1
+    assert res.starts[0]["status"] == "iteration limit"
     assert not res.converged
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_identify_recovers_the_truth_from_a_perturbed_init(seed):
+    """Noise-free data from the model itself, with the innovation
+    covariance fixed (zero process noise): the search from a 30 % perturbed
+    init converges on the truth in at most 20 iterations."""
+    from conftest import perturbed_init
+
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, seed=seed)
+    res = identify(win, perturbed_init(truth, seed),
+                   noise=NoiseConfig(q=np.array([[0.0]])), n_restarts=1,
+                   burn_in=0)
+    assert res.converged and res.starts[0]["nit"] <= 20
+    for name in ("X", "Xp", "Td0p", "Tj", "s0"):
+        assert abs(getattr(res.params, name) / getattr(truth, name) - 1) < 1e-6
 
 
 def test_identify_failure_reports_diagnostics():
@@ -604,10 +625,13 @@ def test_identify_failure_reports_diagnostics():
     win = _noise_free_series(truth, seed=6)
     # A zero measurement floor makes every candidate's Riccati equation
     # singular.
-    with pytest.raises(IdentificationError) as err:
+    with pytest.raises(IdentificationError,
+                       match=r"start 1 start point penalised \(riccati\)"
+                       ) as err:
         identify(win, truth, noise=NoiseConfig(rm=0.0), n_restarts=2,
                  burn_in=0)
-    assert err.value.diagnostics
+    assert [s["status"] for s in err.value.diagnostics] == [
+        "start point penalised (riccati)"] * 2
 
 
 def test_identify_rejects_zero_width_bounds():
@@ -758,7 +782,68 @@ def test_batched_gradient_matches_serial_differences():
         assert _rel_dev(stacked, serial) <= 1e-8
 
 
-def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.booleans())
+def test_stacked_jacobian_matches_central_differences(seed, output_error):
+    """On a random candidate whose predictor is stable, one stack of
+    forward-difference points gives each column of the whitened innovation
+    Jacobian and of dS as the central difference at the column's midpoint
+    x + h/2 e_j.  The gradient's chain rule, fed central differences at x,
+    gives the central difference of the criterion there.  Deviations are
+    normwise relative."""
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, seed=3)
+    u, y, _ = _series_arrays(win)
+    noise = NoiseConfig(rm=1e-8 * np.eye(2))
+    base = _retied(_random_params(np.random.default_rng(seed), truth))
+    scale = np.array([getattr(base, n) for n in FREE_DEFAULT])
+    eye = np.eye(len(FREE_DEFAULT))
+    step = 1e-5
+
+    def evaluate(xs):
+        out = evaluate_candidates(
+            [_retied(replace(base, **dict(zip(FREE_DEFAULT, x * scale))))
+             for x in xs], noise, u, y, win.ts, 20, output_error=output_error)
+        if any(isinstance(r, Exception) for r in out):
+            return None
+        return [(r[0], r[3][20:], r[4].innovation_cov) for r in out]
+
+    def central(at):
+        """Half the central step of (criterion, innovations, S) about
+        1 + at e_j, per parameter j."""
+        plus = evaluate(list(1.0 + (at + step) * eye))
+        minus = evaluate(list(1.0 + (at - step) * eye))
+        if plus is None or minus is None:
+            return None
+        return [tuple(None if p is None else (p - m) / 2
+                      for p, m in zip(pj, mj)) for pj, mj in zip(plus, minus)]
+
+    stack = evaluate([np.ones(5)] + list(1.0 + FD_STEP * eye))
+    mid, at_x = central(FD_STEP / 2), central(0.0)
+    if stack is None or mid is None or at_x is None:
+        return
+    _, _, jac, ds = _scoring(stack[0], stack[1:], np.full(5, FD_STEP))
+    _, e0, s0 = stack[0]
+    white = np.eye(2) if s0 is None else np.linalg.inv(np.linalg.cholesky(s0))
+    jac_mid = (np.array([c[1] for c in mid]) @ white.T).reshape(5, -1).T / (
+        step * np.sqrt(len(e0)))
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(jac, jac_mid) <= 1e-6
+    if not output_error:
+        assert rel(ds, np.array([c[2] for c in mid]) / step) <= 1e-6
+    # Points one central half-step from x, for the chain rule at x.
+    virtual = [(None, e0 + c[1], None if s0 is None else s0 + c[2])
+               for c in at_x]
+    g_x, _, _, _ = _scoring(stack[0], virtual, np.full(5, step))
+    assert rel(g_x, np.array([c[0] for c in at_x]) / step) <= 1e-6
+
+
+def _recording_chains(monkeypatch):
+    """Sizes of the ``evaluate_candidates`` stacks that ``identify`` scores
+    from now on; scoring one candidate outside them fails."""
     import loadsysid.greybox as greybox
 
     sizes = []
@@ -773,16 +858,42 @@ def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
 
     monkeypatch.setattr(greybox, "evaluate_candidates", recording)
     monkeypatch.setattr(greybox, "evaluate_candidate", rescoring)
+    return sizes
+
+
+def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
+    """The first chain is the start point and its five difference points;
+    then each iteration scores the four damped trial steps and, at the new
+    point, its five difference points."""
+    sizes = _recording_chains(monkeypatch)
     truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
     res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
                    n_restarts=1, burn_in=0, maxiter=5)
+    assert sum(res.meta["penalties"].values()) == 0
+    assert sizes[:2] == [1 + 5, 4] and set(sizes[2:]) == {5, 4}
+    assert len(sizes) == res.starts[0]["chains"]
     # A candidate that fails parameter validation never reaches the stack;
     # every other one is scored once.
-    assert set(sizes) - {0} == {1, 5}
     assert res.meta["n_eval"] == (sum(sizes)
                                   + res.meta["penalties"]["invalid_parameters"])
+
+
+def test_penalised_difference_point_steps_backwards(monkeypatch):
+    """With Xp just below X the forward Xp difference point has Xp > X and
+    fails validation: that coordinate's backward point is scored in one
+    extra chain, and the start proceeds."""
+    sizes = _recording_chains(monkeypatch)
+    truth = _consistent_truth()
+    win = _noise_free_series(truth, seed=5)
+    init = replace(truth, Xp=truth.X * (1 - 1e-7))
+    res = identify(win, init, n_restarts=1, burn_in=0, maxiter=3)
+    # The first chain holds the start and four valid difference points.
+    assert sizes[:3] == [5, 1, 4]
+    assert res.meta["penalties"]["invalid_parameters"] >= 1
+    assert res.starts[0]["ok"] and res.starts[0]["nit"] >= 1
+    assert res.loss < res.initial_loss
 
 
 def test_output_error_overflow_is_a_counted_penalty():

@@ -32,6 +32,8 @@ from loadsysid.greybox import evaluate_candidate
 from loadsysid.pipeline import build_system, make_init, run_diagnose, run_simulate
 from loadsysid.series import MeasurementSeries, detrend
 
+from loops import identify_lbfgsb
+
 SHORT_CFG = """
 case = wscc9
 seed = 2
@@ -362,12 +364,12 @@ def test_cli_pins_blas_threads_unless_set():
 
 
 def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
-    # On seed 8 the pem-b estimate's predictor is unstable on the held-out
+    # On seed 13 the pem-b estimate's predictor is unstable on the held-out
     # record.
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text(CRITERION_12_CFG)
     out = tmp_path / "out"
-    rc = main(["reproduce", "--config", str(cfg_path), "--seed", "8",
+    rc = main(["reproduce", "--config", str(cfg_path), "--seed", "13",
                "--out", str(out)])
     assert rc == EXIT_OK
     summary = (out / "summary.txt").read_text()
@@ -390,15 +392,32 @@ def test_reproduce_counts_pem_b_unstable_predictors(tmp_path):
     assert "penalt" not in (tmp_path / "a" / "ident_pem-b.txt").read_text()
 
 
+@pytest.mark.parametrize("method", ["pem-a", "tm"])
+def test_search_reaches_the_lbfgsb_oracles_criterion(tmp_path, method):
+    # The search from the configured init ends no higher than the
+    # L-BFGS-B search it replaced, on criterion 12's configuration.
+    for seed in (1, 2, 3):
+        cfg = load_config(CRITERION_12_CFG, seed_override=seed)
+        series, system = run_simulate(cfg, tmp_path)
+        result = pipeline.run_identify(cfg, tmp_path, series, system, method)
+        oracle = identify_lbfgsb(
+            detrend(series.window(*cfg.analysis_window)),
+            make_init(cfg, system[2].params, seed),
+            pipeline._noise_for(cfg, method), cfg.ident_free,
+            cfg.ident_burn_in, cfg.ident_maxiter, method)
+        assert result.loss <= oracle + 1e-8 * abs(oracle)
+
+
 def test_trace_holds_the_criterion_at_each_iterate(tmp_path):
-    # L-BFGS-B never accepts a step that raises the criterion, so the
-    # criterion at its iterates does not rise.
+    # The search accepts only a step that lowers the criterion, so the
+    # criterion at its iterates falls.  pem-b, whose search also meets
+    # penalised candidates and rejected rounds.
     cfg = load_config(CRITERION_12_CFG, seed_override=1)
     series, system = run_simulate(cfg, tmp_path)
-    result = pipeline.run_identify(cfg, tmp_path, series, system, "pem-a")
+    result = pipeline.run_identify(cfg, tmp_path, series, system, "pem-b")
     assert len(result.trace) > 10
     assert np.all(np.diff(result.trace) <= 0.0)
-    _, _, rows = tio.read_table(tmp_path / "trace_pem-a.csv")
+    _, _, rows = tio.read_table(tmp_path / "trace_pem-b.csv")
     assert np.array_equal(rows[:, 1], result.trace)
 
 
