@@ -18,10 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
-# Nothing here calls ``minimize``: perfbench traces ``greybox.minimize`` by
-# name and stays as it is until ROADMAP item 3's benchmark PR, which drops
-# this binding with its trace target.
-from scipy.optimize import minimize  # noqa: F401
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
@@ -42,7 +38,17 @@ FREE_ALL = FREE_DEFAULT + ("Exp0", "Eyp0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
 
-# Why the identification objective returned its penalty for a candidate,
+
+def __getattr__(name):
+    # Nothing here calls ``minimize``; perfbench traces it by name.  ROADMAP
+    # item 3's benchmark PR deletes this lazy alias with that trace target.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Why a candidate has no usable criterion, which makes it a rejected step;
 # counted in ``IdentResult.meta["penalties"]``.
 PENALTY_CAUSES = ("invalid_parameters", "unstable_predictor", "riccati",
                   "non_finite")
@@ -648,8 +654,8 @@ def evaluate_candidate(params, noise, u, y, ts, burn_in, output_error=False):
 
 
 def _penalty_cause(result):
-    """Why the objective scores an ``evaluate_candidates`` result with the
-    penalty (a ``PENALTY_CAUSES`` name), or None for a usable value."""
+    """Why an ``evaluate_candidates`` result has no usable criterion (a
+    ``PENALTY_CAUSES`` name), or None if it has one."""
     if isinstance(result, CaseValidationError):
         return "invalid_parameters"
     if isinstance(result, UnstablePredictorError):

@@ -27,8 +27,11 @@ def write_table(path, columns, rows, comments=None):
     for c in comments or []:
         lines.append(f"# {c}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        # tolist gives Python floats, whose repr is _fmt's, in one call.
+        lines += [",".join(map(repr, r)) for r in rows.tolist()]
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import CaseValidationError, EquilibriumError
 
@@ -109,6 +107,7 @@ def solve_slip_for_power(X, Xp, Td0p, p_target, v):
         raise EquilibriumError(
             f"scheduled power {p_target:.4f} exceeds motor peak {p_peak:.4f}"
         )
+    from scipy.optimize import brentq  # kept off the start-up path
     return brentq(
         lambda s: motor_pq(X, Xp, Td0p, s, v)[0] - p_target,
         1e-12,

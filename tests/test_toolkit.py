@@ -165,6 +165,27 @@ def test_series_roundtrip_random(seed):
     assert np.array_equal(back.data, ser.data)
 
 
+def test_write_table_array_rows_match_the_per_value_path(tmp_path):
+    # A float64 array is written through tolist and repr; the same rows as
+    # a list of arrays go through _fmt one value at a time.
+    rng = np.random.default_rng(0)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+               1e-300, 1 / 3]
+    rows = np.vstack([np.reshape(special, (2, 5)),
+                      rng.standard_normal((20, 5))
+                      * 10.0 ** rng.integers(-300, 300, (20, 5))])
+    columns = [f"c{j}" for j in range(5)]
+    tio.write_table(tmp_path / "array.csv", columns, rows, ["x=1"])
+    tio.write_table(tmp_path / "values.csv", columns, list(rows), ["x=1"])
+    text = (tmp_path / "array.csv").read_text()
+    assert text == (tmp_path / "values.csv").read_text()
+    assert text.splitlines()[2:4] == ["nan,inf,-inf,-0.0,5e-324",
+                                      "-5e-324,1e+300,-1e+300,1e-300,"
+                                      "0.3333333333333333"]
+    _, _, back = tio.read_table(tmp_path / "array.csv")
+    assert np.array_equal(back, rows, equal_nan=True)
+
+
 def test_frf_csv_layout(tmp_path):
     from loadsysid.freq import FrequencyResponse
 
@@ -361,6 +382,27 @@ def test_cli_pins_blas_threads_unless_set():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "2", "1"]
+
+
+def test_reproduce_leaves_scipy_optimize_unloaded(tmp_path):
+    # Only configurations without motor.s0 need scipy.optimize.  The lazy
+    # greybox.minimize alias, which perfbench traces by name, still
+    # resolves to scipy's function.
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(CRITERION_12_CFG)
+    argv = ["reproduce", "--config", str(cfg_path), "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    script = ("import importlib, sys\n"
+              "from loadsysid import cli\n"
+              f"rc = cli.main({argv!r})\n"
+              "loaded = 'scipy.optimize' in sys.modules\n"
+              "import scipy.optimize\n"
+              "alias = importlib.import_module('loadsysid.greybox').minimize\n"
+              "print(rc, loaded, alias is scipy.optimize.minimize)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "False", "True"]
 
 
 def test_reproduce_scores_an_unstable_predictor_as_a_result(tmp_path):
