@@ -201,7 +201,7 @@ def load_noise_frf(params, omega_grid, noise=None):
     cont = assemble_continuous(params, noise)
     _, w_y, _ = _output_conversion(params)
     h_pq = cont.c @ _solve_grid(_resolvent(cont.a, omega_grid), cont.g,
-                                omega_grid, "load model") + cont.h
+                                omega_grid, "load model")
     return FrequencyResponse(omega_grid, w_y @ h_pq)
 
 

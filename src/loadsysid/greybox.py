@@ -3,12 +3,13 @@
 The continuous model has states (dE'x, dE'y, ds), inputs (dV, dtheta) and
 outputs (dP, dQ); every matrix entry is an explicit function of the physical
 parameters, obtained by linearizing the third-order motor model plus the
-static constant-impedance part at the operating point.  Discretization is
-exact zero-order hold.  The one-step predictor comes from the steady-state
-Kalman gain of the discrete model, and identification minimizes the
-Gaussian prediction-error criterion (the mean squared prediction error
-for the output-error baseline) over the free physical parameters with a
-bounded Levenberg-Marquardt search on the Fisher-scoring Hessian.
+static constant-impedance part at the operating point, and discretized
+exactly with a first-order-hold input ramp.  The one-step predictor is the
+discrete model plus its steady-state Kalman gain (zero gain and the mean
+squared prediction error for the output-error baseline), and identification
+minimizes the Gaussian prediction-error criterion over the free physical
+parameters with a bounded Levenberg-Marquardt search on the Fisher-scoring
+Hessian.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class GreyBoxContinuous:
     c: np.ndarray  # 2x3
     d: np.ndarray  # 2x2
     g: np.ndarray  # 3xm disturbance input
-    h: np.ndarray  # 2xm disturbance feedthrough
 
     def __post_init__(self):
         shapes = tuple(m.shape[-2:] for m in (self.a, self.b, self.c, self.d))
@@ -72,25 +72,24 @@ class GreyBoxContinuous:
             raise ToolkitError(f"bad grey-box dimensions {shapes}")
         # A NaN or infinite entry makes its matrix's sum non-finite.
         if not math.isfinite(sum(float(m.sum()) for m in (
-                self.a, self.b, self.c, self.d, self.g, self.h))):
+                self.a, self.b, self.c, self.d, self.g))):
             raise ToolkitError("non-finite grey-box matrix entry")
 
 
 @dataclass
 class GreyBoxDiscrete:
-    """Sampled model.  ``bd`` is the total zero-order-hold input matrix;
-    when ``bd_ramp`` is set the state update adds bd_ramp (u(k+1) - u(k)),
-    the first-order-hold correction for smooth intersample inputs.  As for
-    ``GreyBoxContinuous``, the matrices may carry a leading candidate
-    axis."""
+    """Sampled model.  ``bd`` is the total input matrix of a held input and
+    the state update adds bd_ramp (u(k+1) - u(k)), the first-order-hold
+    correction for smooth intersample inputs; a zero ramp makes it the
+    zero-order-hold model.  As for ``GreyBoxContinuous``, the matrices may
+    carry a leading candidate axis."""
 
     ad: np.ndarray
     bd: np.ndarray
     cd: np.ndarray
     dd: np.ndarray
     gd: np.ndarray
-    hd: np.ndarray
-    bd_ramp: np.ndarray | None = None
+    bd_ramp: np.ndarray
 
 
 @dataclass
@@ -136,22 +135,19 @@ class NoiseConfig:
 
 @dataclass
 class InnovationPredictor:
-    """Steady-state one-step predictor; stacked like its discrete model
-    (``residual`` is then one value per candidate)."""
+    """Steady-state Kalman gain of a discrete model, with the Riccati
+    solution, its residual and the innovation covariance; stacked like its
+    discrete model (``residual`` is then one value per candidate)."""
 
     kd: np.ndarray
     p: np.ndarray
-    ad_k: np.ndarray  # Ad - Kd Cd
-    bd_k: np.ndarray  # Bd - Kd Dd
-    cd: np.ndarray
-    dd: np.ndarray
     residual: float
-    innovation_cov: np.ndarray | None = None
+    innovation_cov: np.ndarray
 
 
 def _take(stack, index):
     """The candidates ``index`` (an int or an index array) of a stacked
-    model or predictor; ``np.newaxis`` makes one model a stack of one."""
+    model or gain; ``np.newaxis`` makes one model a stack of one."""
     return type(stack)(**{
         name: value[index] if isinstance(value, np.ndarray) else value
         for name, value in vars(stack).items()})
@@ -175,9 +171,7 @@ class IdentResult:
     fit: dict
     converged: bool
     at_bound: list
-    method: str
     starts: list
-    seed: int | None = None
     meta: dict = field(default_factory=dict)
     # One-step predictions of (dP, dQ) at the estimate over the whole record.
     predictions: np.ndarray | None = field(default=None, repr=False,
@@ -185,18 +179,17 @@ class IdentResult:
 
 
 def noise_channel_matrices(noise, params):
-    """Disturbance input pattern G (3xm) and feedthrough H (2xm)."""
+    """Disturbance input pattern G (3xm)."""
     g = np.zeros((3, noise.m))
     if noise.channel == "torque":
         g[2, 0] = 1.0 / params.Tj
     else:
         g[1, 0] = 1.0 / params.Td0p
-    return g, np.zeros((2, noise.m))
+    return g
 
 
 def assemble_continuous(params, noise):
     """Continuous grey-box matrices at the operating point of ``params``."""
-    params.validate()
     X, Xp, Td0p, Tj = params.X, params.Xp, params.Td0p, params.Tj
     s0, ex0, ey0 = params.s0, params.Exp0, params.Eyp0
     v0, th0 = params.V0, params.theta0
@@ -224,8 +217,8 @@ def assemble_continuous(params, noise):
         [(2.0 * v0 - ex0 * ct - ey0 * st) / Xp + 2.0 * params.Qz / v0,
          v0 * (ex0 * st - ey0 * ct) / Xp],
     ])
-    g, h = noise_channel_matrices(noise, params)
-    return GreyBoxContinuous(a=a, b=b, c=c, d=d, g=g, h=h)
+    return GreyBoxContinuous(a=a, b=b, c=c, d=d,
+                             g=noise_channel_matrices(noise, params))
 
 
 def van_loan(a, ts):
@@ -251,27 +244,20 @@ def van_loan(a, ts):
             phi[..., :nx, 2 * nx:])
 
 
-def discretize_zoh(cont, ts, input_hold="zoh"):
-    """Exact zero-order-hold discretization (``van_loan``).
-
-    With ``input_hold="foh"`` the deterministic input path additionally gets
-    the first-order-hold ramp matrix (``bd_ramp``); the disturbance path is
-    always zero-order hold, matching how the disturbance is realized.
+def discretize_zoh(cont, ts):
+    """Exact discretization (``van_loan``): the zero-order-hold matrices
+    plus the first-order-hold ramp matrix of the deterministic input path
+    (``bd_ramp``).  The disturbance path is zero-order hold, matching how
+    the disturbance is realized.
     """
     ad, w0, w1s = van_loan(cont.a, ts)
-    bd_ramp = None
-    if input_hold == "foh":
-        bd_ramp = (w1s / ts) @ cont.b
-    elif input_hold != "zoh":
-        raise ToolkitError(f"unknown input hold {input_hold!r}")
     return GreyBoxDiscrete(
         ad=ad,
         bd=w0 @ cont.b,
         cd=cont.c.copy(),
         dd=cont.d.copy(),
         gd=w0 @ cont.g,
-        hd=cont.h.copy(),
-        bd_ramp=bd_ramp,
+        bd_ramp=(w1s / ts) @ cont.b,
     )
 
 
@@ -306,15 +292,15 @@ DARE_MAX_ITER = 120
 
 
 def riccati_predictors(disc, noise):
-    """Steady-state Kalman predictors of a stack of discrete models.
+    """Steady-state Kalman gains of a stack of discrete models.
 
-    Returns ``(pred, failures)``: ``pred`` stacks the predictors and
+    Returns ``(pred, failures)``: ``pred`` stacks the gains and
     ``failures`` holds, per candidate, None or the typed error it failed
     with (its slice of ``pred`` is then meaningless).  The disturbance and
-    the input measurement noise enter as one stacked [Gd, Bd] / [Hd, Dd]
-    channel; their cross covariance is absorbed into the transformed filter
-    Riccati equation, which the structure-preserving doubling iteration
-    solves.
+    the input measurement noise enter as one stacked [Gd, Bd] / [0, Dd]
+    channel (the disturbance has no feedthrough); their cross covariance is
+    absorbed into the transformed filter Riccati equation, which the
+    structure-preserving doubling iteration solves.
     Each doubling step is one solve with I + G H (G and H are symmetric,
     so (I + H G)^-1 H = H (I + G H)^-1), and a slice stops iterating once
     it has converged.
@@ -327,7 +313,8 @@ def riccati_predictors(disc, noise):
     wcov[:m, :m] = noise.q
     wcov[m:, m:] = np.diag(noise.input_variance)
     gb = np.concatenate([disc.gd, disc.bd], axis=-1)
-    hb = np.concatenate([disc.hd, disc.dd], axis=-1)
+    hb = np.concatenate([np.zeros(disc.dd.shape[:-1] + (m,)), disc.dd],
+                        axis=-1)
     gw = gb @ wcov
     nbar = gw @ _t(hb)
     rbar = noise.rm + hb @ wcov @ _t(hb)
@@ -393,9 +380,8 @@ def riccati_predictors(disc, noise):
         elif p_min[i] < -1e-10 * max(1.0, math.sqrt(_sq(p[i]))):
             failures[i] = RiccatiError(
                 "Riccati solution is not positive semidefinite")
-    pred = InnovationPredictor(
-        kd=kd, p=p, ad_k=ad_k, bd_k=disc.bd - kd @ disc.dd, cd=cd,
-        dd=disc.dd, residual=residual, innovation_cov=s)
+    pred = InnovationPredictor(kd=kd, p=p, residual=residual,
+                               innovation_cov=s)
     return pred, failures
 
 
@@ -408,19 +394,6 @@ def solve_dare(disc, noise):
         raise failures[0]
     pred = _take(pred, 0)
     return replace(pred, residual=float(pred.residual))
-
-
-def open_loop_predictor(disc):
-    """Predictor with zero gain: the pure simulation of the discrete model."""
-    return InnovationPredictor(
-        kd=np.zeros(disc.ad.shape[:-1] + disc.cd.shape[-2:-1]),
-        p=np.zeros_like(disc.ad),
-        ad_k=disc.ad.copy(),
-        bd_k=disc.bd.copy(),
-        cd=disc.cd.copy(),
-        dd=disc.dd.copy(),
-        residual=0.0,
-    )
 
 
 # Samples per block of ``propagate``: long enough that the per-block Python
@@ -517,28 +490,26 @@ def propagate_from(op, x0, w):
     return out.reshape(out.shape[:-2] + (nb * blk, ny))[..., :n, :]
 
 
-def predict(pred, disc, u, y):
-    """One-step-ahead predictions and innovations from zero initial state.
+def predict(kd, disc, u, y):
+    """One-step-ahead predictions and innovations of the discrete model
+    ``disc`` with the gain ``kd``, from zero initial state.
 
     ``u`` and ``y`` are (N, 2) arrays of input and output deltas.  The
-    predictor is one ``propagate`` call on A - K C with the inputs
-    [u, y] and, under first-order hold, the input increment u(k+1) - u(k)
-    (zero on the last sample) through the ramp matrix.  A stacked predictor
-    gives stacked predictions and innovations of the one record.
+    predictor is one ``propagate`` call on A - K C with B - K D on u, K on
+    y and the ramp matrix on the input increment u(k+1) - u(k) (zero on the
+    last sample).  A zero gain gives the pure simulation of the model.  A
+    stacked model and gain give stacked predictions and innovations of the
+    one record.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    b = [pred.bd_k, pred.kd]
-    w = [u, y]
-    if disc.bd_ramp is not None:
-        du = np.zeros_like(u)
-        du[:-1] = np.diff(u, axis=0)
-        b.append(disc.bd_ramp)
-        w.append(du)
-    d = np.zeros(pred.dd.shape[:-1] + (sum(m.shape[-1] for m in b),))
-    d[..., :u.shape[1]] = pred.dd
-    yhat = propagate(pred.ad_k, np.concatenate(b, axis=-1), pred.cd, d,
-                     np.hstack(w))
+    du = np.zeros_like(u)
+    du[:-1] = np.diff(u, axis=0)
+    b = np.concatenate([disc.bd - kd @ disc.dd, kd, disc.bd_ramp], axis=-1)
+    d = np.zeros(disc.dd.shape[:-1] + (b.shape[-1],))
+    d[..., :u.shape[1]] = disc.dd
+    yhat = propagate(disc.ad - kd @ disc.cd, b, disc.cd, d,
+                     np.hstack([u, y, du]))
     return yhat, y - yhat
 
 
@@ -594,11 +565,11 @@ def evaluate_candidates(params_list, noise, u, y, ts, burn_in,
     list of candidates as one stacked chain.
 
     Returns one entry per candidate: either (criterion, quadratic loss,
-    predictions, innovations, predictor) or the typed error the candidate
-    failed with (``CaseValidationError`` for invalid parameters,
-    ``UnstablePredictorError``, ``RiccatiError``, ``ToolkitError`` for a
-    non-finite continuous model).  The criterion is the Gaussian likelihood rate for
-    the innovation predictor and the plain quadratic loss for the
+    predictions, innovations, innovation covariance S; None for the
+    output-error baseline) or the typed error the candidate failed with
+    (``UnstablePredictorError``, ``RiccatiError``, ``ToolkitError`` for a
+    non-finite continuous model).  The criterion is the Gaussian likelihood
+    rate for the innovation predictor and the plain quadratic loss for the
     output-error baseline, which has no stochastic model.  A candidate
     whose predictions overflow gets a non-finite criterion, without a
     floating-point warning.
@@ -615,9 +586,9 @@ def evaluate_candidates(params_list, noise, u, y, ts, burn_in,
         return out
     cont = GreyBoxContinuous(**{name: np.array([vars(c)[name] for c in conts])
                                 for name in vars(conts[0])})
-    disc = discretize_zoh(cont, ts, input_hold="foh")
+    disc = discretize_zoh(cont, ts)
     if output_error:
-        pred, ok = open_loop_predictor(disc), np.arange(len(conts))
+        kd, s, ok = np.zeros(_t(disc.cd).shape), None, np.arange(len(conts))
     else:
         pred, failures = riccati_predictors(disc, noise)
         for i, exc in zip(index, failures):
@@ -626,19 +597,20 @@ def evaluate_candidates(params_list, noise, u, y, ts, burn_in,
                       dtype=int)
         if not ok.size:
             return out
+        kd, s = pred.kd, pred.innovation_cov
         if ok.size < len(conts):
-            disc, pred = _take(disc, ok), _take(pred, ok)
+            disc, kd, s = _take(disc, ok), kd[ok], s[ok]
     with np.errstate(over="ignore", invalid="ignore"):
-        yhat, eps = predict(pred, disc, u, y)
+        yhat, eps = predict(kd, disc, u, y)
         quad = loss(eps[:, burn_in:])
         if output_error:
             crit, sign = quad, np.ones_like(quad)
         else:
-            crit, sign = gaussian_criterion(eps[:, burn_in:],
-                                            pred.innovation_cov)
+            crit, sign = gaussian_criterion(eps[:, burn_in:], s)
     for j, i in enumerate(ok):
         out[index[i]] = (
-            (float(crit[j]), float(quad[j]), yhat[j], eps[j], _take(pred, j))
+            (float(crit[j]), float(quad[j]), yhat[j], eps[j],
+             None if s is None else s[j])
             if sign[j] > 0 else
             RiccatiError("innovation covariance is not positive definite"))
     return out
@@ -888,11 +860,11 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
                 penalties[cause] += 1
                 out.append(cause)
                 continue
-            crit, quad, yhat, eps, pred = result
+            crit, quad, yhat, eps, s = result
             if best[-1] is None or crit < best[-1][0]:
                 # A copy: a view would pin the whole candidate stack.
                 best[-1] = (crit, x, p, quad, yhat.copy())
-            out.append((crit, eps[burn_in:], pred.innovation_cov))
+            out.append((crit, eps[burn_in:], s))
         n_eval += len(xs)
         return out
 
@@ -939,9 +911,7 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
         fit=fit,
         converged=reports[chosen]["converged"],
         at_bound=at_bound,
-        method=method,
         starts=reports,
-        seed=seed,
         predictions=yhat,
         meta={
             "n_eval": n_eval,

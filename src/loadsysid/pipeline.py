@@ -246,17 +246,16 @@ def validation_record(cfg, system):
     return detrend(series.window(*cfg.analysis_window))
 
 
-def validation_loss(cfg, system, result, method, record=None):
-    """Quadratic prediction loss of a fitted model on the held-out record
-    (``validation_record``, simulated here unless given).  A model whose
-    predictor is unstable on that record scores ``math.inf``."""
-    win = record if record is not None else validation_record(cfg, system)
-    u, y, operating_point = _series_arrays(win)
+def validation_loss(cfg, system, result, method, record):
+    """Quadratic prediction loss of a fitted model on the held-out
+    ``record``, or ``math.inf`` if its predictor is unstable there.
+    ``system`` is unused; it keeps ``method`` fourth, as perfbench reads it."""
+    u, y, operating_point = _series_arrays(record)
     params = replace(result.params, **operating_point)
     noise = _noise_for(cfg, method)
     try:
         _, quad, _, _, _ = evaluate_candidate(
-            params, noise, u, y, win.ts, cfg.ident_burn_in,
+            params, noise, u, y, record.ts, cfg.ident_burn_in,
             output_error=(method == "tm"),
         )
     except UnstablePredictorError:
@@ -287,7 +286,7 @@ def run_reproduce(cfg, out_dir):
         for method in METHODS:
             stage = f"identify:{method}:validation"
             val[method] = validation_loss(cfg, system, results[method],
-                                          method, record=held_out)
+                                          method, held_out)
     except ToolkitError as exc:
         exc.stage = stage
         raise

@@ -100,32 +100,33 @@ def propagate_loop(a, b, c, d, w, x0=None):
     return y
 
 
-def predict_loop(pred, disc, u, y):
-    """One-step-ahead predictions and innovations, one sample at a time."""
+def predict_loop(kd, disc, u, y):
+    """One-step-ahead predictions and innovations of the model ``disc``
+    with the gain ``kd``, one sample at a time in innovation form:
+    eps = y - C x - D u, then x+ = A x + B u + K eps + B_ramp du."""
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(u)
-    ramp = disc.bd_ramp if disc is not None else None
-    x = np.zeros(pred.ad_k.shape[0])
+    x = np.zeros(disc.ad.shape[0])
     yhat = np.empty((n, 2))
     for k in range(n):
-        yhat[k] = pred.cd @ x + pred.dd @ u[k]
-        x = pred.ad_k @ x + pred.bd_k @ u[k] + pred.kd @ y[k]
-        if ramp is not None:
-            du = (u[k + 1] - u[k]) if k + 1 < n else np.zeros_like(u[k])
-            x = x + ramp @ du
+        yhat[k] = disc.cd @ x + disc.dd @ u[k]
+        du = (u[k + 1] - u[k]) if k + 1 < n else np.zeros_like(u[k])
+        x = (disc.ad @ x + disc.bd @ u[k] + kd @ (y[k] - yhat[k])
+             + disc.bd_ramp @ du)
     return yhat, y - yhat
 
 
 def simulate_discrete_loop(disc, u, e=None, v=None):
-    """The discrete stochastic model propagated one sample at a time."""
+    """The discrete stochastic model under zero-order-hold inputs (the
+    ramp matrix unused) propagated one sample at a time."""
     u = np.asarray(u, dtype=float)
     n = len(u)
     x = np.zeros(disc.ad.shape[0])
     y = np.empty((n, disc.cd.shape[0]))
     for k in range(n):
         ek = e[k] if e is not None else np.zeros(disc.gd.shape[1])
-        y[k] = disc.cd @ x + disc.dd @ u[k] + disc.hd @ ek
+        y[k] = disc.cd @ x + disc.dd @ u[k]
         if v is not None:
             y[k] += v[k]
         x = disc.ad @ x + disc.bd @ u[k] + disc.gd @ ek
@@ -145,11 +146,10 @@ def solve_dare_loop(disc, noise, tol=1e-12, max_iter=120):
     three solves per step, the input noise folded in by its own branch.
     Raises ``RiccatiError`` or ``UnstablePredictorError`` like the
     solver."""
-    ad, cd, gd, hd = disc.ad, disc.cd, disc.gd, disc.hd
-    q, rm = noise.q, noise.rm
-    nbar = gd @ q @ hd.T
-    rbar = rm + hd @ q @ hd.T
-    qbar = gd @ q @ gd.T
+    ad, cd, gd = disc.ad, disc.cd, disc.gd
+    nbar = np.zeros(cd.shape[::-1])
+    rbar = noise.rm
+    qbar = gd @ noise.q @ gd.T
     if any(v > 0 for v in noise.input_variance):
         siu = np.diag(noise.input_variance)
         nbar = nbar + disc.bd @ siu @ disc.dd.T
@@ -339,8 +339,8 @@ def load_noise_frf_loop(params, omega, noise):
     _, w_y, _ = _output_conversion(params)
     out = np.empty((len(omega), 2, cont.g.shape[1]), dtype=complex)
     for i, w in enumerate(omega):
-        out[i] = w_y @ (cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
-                                                 cont.g) + cont.h)
+        out[i] = w_y @ cont.c @ np.linalg.solve(1j * w * np.eye(3) - cont.a,
+                                                cont.g)
     return out
 
 

@@ -208,11 +208,14 @@ def test_criterion_04_experiment_diagnostics(records):
 def test_criterion_05_riccati_predictor(wscc_eq):
     noise = NoiseConfig()
     cont = assemble_continuous(wscc_eq.params, noise)
+    # Zero ramp: the model of the zero-order-hold inputs that
+    # simulate_discrete_loop propagates.
     disc = discretize_zoh(cont, 0.01)
+    disc = replace(disc, bd_ramp=np.zeros_like(disc.bd))
     pred = solve_dare(disc, noise)
     sym = float(np.max(np.abs(pred.p - pred.p.T)))
     pd_ok = bool(np.min(np.linalg.eigvalsh(pred.p)) > 0)
-    rho = float(np.max(np.abs(np.linalg.eigvals(pred.ad_k))))
+    rho = float(np.max(np.abs(np.linalg.eigvals(disc.ad - pred.kd @ disc.cd))))
 
     rng = np.random.default_rng(12)
     from scipy.signal import lfilter
@@ -225,7 +228,7 @@ def test_criterion_05_riccati_predictor(wscc_eq):
     e = math.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
     v = math.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
     y = simulate_discrete_loop(disc, u, e=e, v=v)
-    _, eps = predict(pred, disc, u, y)
+    _, eps = predict(pred.kd, disc, u, y)
     band = 2.0 / math.sqrt(n - 200)
     inside_min = 20
     for ch in range(2):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
-    CaseValidationError,
     IdentificationError,
     RiccatiError,
     ToolkitError,
@@ -33,7 +32,6 @@ from loadsysid.greybox import (
     loss,
     lti_operator,
     noise_channel_matrices,
-    open_loop_predictor,
     predict,
     propagate,
     propagate_from,
@@ -88,12 +86,10 @@ def test_static_part_enters_feedthrough_only():
 
 def test_noise_channel_patterns():
     p = _params()
-    g, h = noise_channel_matrices(NoiseConfig(channel="torque"), p)
+    g = noise_channel_matrices(NoiseConfig(channel="torque"), p)
     assert np.allclose(g.ravel(), [0, 0, 1.0 / p.Tj])
-    assert np.all(h == 0)
-    g2, h2 = noise_channel_matrices(NoiseConfig(channel="emf-wrong"), p)
+    g2 = noise_channel_matrices(NoiseConfig(channel="emf-wrong"), p)
     assert np.allclose(g2.ravel(), [0, 1.0 / p.Td0p, 0])
-    assert np.all(h2 == 0)
 
 
 def test_assembly_against_symbolic_linearization():
@@ -189,10 +185,7 @@ def test_foh_ramp_matrix_and_total():
 
     cont = assemble_continuous(_params(), NoiseConfig())
     ts = 0.01
-    z = discretize_zoh(cont, ts)
-    f = discretize_zoh(cont, ts, input_hold="foh")
-    assert np.allclose(z.bd, f.bd, atol=1e-14)
-    assert z.bd_ramp is None and f.bd_ramp is not None
+    f = discretize_zoh(cont, ts)
     # quadrature oracle for the ramp weight
     n_q = 2000
     taus = np.linspace(0.0, ts, 2 * n_q + 1)
@@ -237,7 +230,7 @@ def test_scalar_dare_closed_form():
     # p = a^2 p - (a p c)^2/(c^2 p + r) + q reduces to p^2 - p/4 - 1 = 0
     disc = GreyBoxDiscrete(
         ad=np.array([[0.5]]), bd=np.zeros((1, 2)), cd=np.array([[1.0]]),
-        dd=np.zeros((1, 2)), gd=np.array([[1.0]]), hd=np.zeros((1, 1)),
+        dd=np.zeros((1, 2)), gd=np.array([[1.0]]), bd_ramp=np.zeros((1, 2)),
     )
     noise = NoiseConfig(q=np.array([[1.0]]), rm=np.array([[1.0]]))
     # bypass the 2-output validation with matching shapes
@@ -262,7 +255,7 @@ def test_dare_against_fixed_point_iteration():
     disc = discretize_zoh(cont, 0.01)
     noise = NoiseConfig()
     pred = solve_dare(disc, noise)
-    nbar = disc.gd @ noise.q @ disc.hd.T
+    nbar = np.zeros((3, 2))
     rbar = noise.rm.copy()
     qbar = disc.gd @ noise.q @ disc.gd.T
     p = np.eye(3)
@@ -274,7 +267,7 @@ def test_dare_against_fixed_point_iteration():
         p = p_next
     assert np.max(np.abs(p - pred.p)) < 1e-10
     assert pred.residual < 1e-9
-    assert np.max(np.abs(np.linalg.eigvals(pred.ad_k))) < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(disc.ad - pred.kd @ disc.cd))) < 1.0
     ev = np.linalg.eigvalsh(pred.p)
     assert ev[0] > 0.0  # positive definite for the noise-driven model
     # the printed update form is also satisfied at the solution
@@ -299,7 +292,7 @@ def _stacked_discrete(params_list, noise, ts=0.01):
     conts = [assemble_continuous(p, noise) for p in params_list]
     cont = GreyBoxContinuous(**{name: np.stack([vars(c)[name] for c in conts])
                                 for name in vars(conts[0])})
-    return discretize_zoh(cont, ts, input_hold="foh")
+    return discretize_zoh(cont, ts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,29 +339,35 @@ def test_dare_singular_floor_rejected():
 
 # ----------------------------------------------------------------- predictor
 
+def _zoh(disc):
+    """``disc`` with a zero ramp: the model of zero-order-hold inputs, which
+    ``simulate_discrete_loop`` propagates."""
+    return replace(disc, bd_ramp=np.zeros_like(disc.bd))
+
+
 def test_open_loop_predictor_equals_simulation():
     cont = assemble_continuous(_params(), NoiseConfig())
-    disc = discretize_zoh(cont, 0.01)
-    pred = open_loop_predictor(disc)
+    disc = _zoh(discretize_zoh(cont, 0.01))
     rng = np.random.default_rng(0)
     u = 1e-3 * rng.standard_normal((120, 2))
     y_sim = simulate_discrete_loop(disc, u)
-    yhat, eps = predict(pred, disc, u, y_sim + rng.standard_normal((120, 2)))
+    yhat, eps = predict(np.zeros((3, 2)), disc, u,
+                        y_sim + rng.standard_normal((120, 2)))
     assert np.max(np.abs(yhat - y_sim)) < 1e-14
 
 
 def test_predict_zero_series():
     cont = assemble_continuous(_params(), NoiseConfig())
-    disc = discretize_zoh(cont, 0.01)
+    disc = _zoh(discretize_zoh(cont, 0.01))
     pred = solve_dare(disc, NoiseConfig())
-    yhat, eps = predict(pred, disc, np.zeros((50, 2)), np.zeros((50, 2)))
+    yhat, eps = predict(pred.kd, disc, np.zeros((50, 2)), np.zeros((50, 2)))
     assert np.max(np.abs(yhat)) == 0.0
     assert np.max(np.abs(eps)) == 0.0
 
 
 def test_innovations_white_on_matched_synthetic_data():
     cont = assemble_continuous(_params(), NoiseConfig())
-    disc = discretize_zoh(cont, 0.01)
+    disc = _zoh(discretize_zoh(cont, 0.01))
     noise = NoiseConfig()
     pred = solve_dare(disc, noise)
     rng = np.random.default_rng(12)
@@ -382,7 +381,7 @@ def test_innovations_white_on_matched_synthetic_data():
     e = np.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
     v = np.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
     y = simulate_discrete_loop(disc, u, e=e, v=v)
-    _, eps = predict(pred, disc, u, y)
+    _, eps = predict(pred.kd, disc, u, y)
     band = 2.0 / np.sqrt(n - 200)
     for ch in range(2):
         x = eps[200:, ch] - eps[200:, ch].mean()
@@ -472,19 +471,19 @@ def test_predictor_and_simulation_match_loop_oracles(seed):
     rng = np.random.default_rng(seed)
     noise = NoiseConfig()
     cont = assemble_continuous(_random_params(rng, _params()), noise)
-    disc = discretize_zoh(cont, 0.01, input_hold="foh")
+    disc = discretize_zoh(cont, 0.01)
     n = 450
     u = 1e-3 * rng.standard_normal((n, 2))
     e = rng.standard_normal((n, 1))
     v = 1e-4 * rng.standard_normal((n, 2))
     y = simulate_discrete_loop(disc, u, e=e, v=v)
     try:
-        pred = solve_dare(disc, noise)
+        kd = solve_dare(disc, noise).kd
     except RiccatiError:
-        pred = open_loop_predictor(disc)
-    for hold in (disc, replace(disc, bd_ramp=None)):
-        yhat, eps = predict(pred, hold, u, y)
-        yhat_ref, eps_ref = predict_loop(pred, hold, u, y)
+        kd = np.zeros((3, 2))
+    for hold in (disc, _zoh(disc)):
+        yhat, eps = predict(kd, hold, u, y)
+        yhat_ref, eps_ref = predict_loop(kd, hold, u, y)
         assert _rel_dev(yhat, yhat_ref) < 1e-12
         assert np.max(np.abs(eps - eps_ref)) <= 1e-12 * np.max(np.abs(y))
 
@@ -538,7 +537,7 @@ def _noise_free_series(params, n=400, seed=3):
 
     noise = NoiseConfig(q=np.array([[0.0]]))
     cont = assemble_continuous(params, noise)
-    disc = discretize_zoh(cont, 0.01, input_hold="foh")
+    disc = discretize_zoh(cont, 0.01)
     rng = np.random.default_rng(seed)
     u = 2e-3 * np.column_stack([
         lfilter([0.3], [1, -0.7], rng.standard_normal(n)),
@@ -701,8 +700,8 @@ def _retied(params):
 
 
 def test_candidate_stack_matches_scalar_evaluation():
-    """One stack holding a valid candidate, one whose parameters fail
-    validation, one whose pem-b predictor is unstable (radius 1.00008) and
+    """One stack holding a valid candidate, one whose model has NaN
+    entries, one whose pem-b predictor is unstable (radius 1.00008) and
     one whose open-loop model grows at 36/s, so that its output-error
     predictions overflow on this 20 s record.  Every slice gives the scalar
     evaluation's value or failure type, without a floating-point warning."""
@@ -712,11 +711,11 @@ def test_candidate_stack_matches_scalar_evaluation():
     win = _noise_free_series(truth, n=2000, seed=3)
     u = np.column_stack([win.delta("v"), win.delta("theta")])
     y = np.column_stack([win.delta("p"), win.delta("q")])
-    invalid = replace(truth)
-    object.__setattr__(invalid, "Xp", 2 * truth.X)  # X > Xp fails
+    nan_model = replace(truth)
+    object.__setattr__(nan_model, "Tj", np.nan)  # past the validation
     cands = [
         _retied(replace(truth, X=1.1 * truth.X, Tj=0.9 * truth.Tj)),
-        invalid,
+        nan_model,
         replace(truth, X=10.826, Td0p=0.133, Tj=7.817, s0=0.049, Xp=0.897),
         _retied(replace(truth, X=0.623, Xp=0.0345, Td0p=3.405, Tj=0.284,
                         s0=0.0674)),
@@ -744,7 +743,7 @@ def test_candidate_stack_matches_scalar_evaluation():
                 assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
                 assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
                 assert np.array_equal(got[2], want[2])
-    assert set(kinds) == {CaseValidationError, UnstablePredictorError,
+    assert set(kinds) == {ToolkitError, UnstablePredictorError,
                           "non-finite"}
 
 
@@ -806,7 +805,7 @@ def test_stacked_jacobian_matches_central_differences(seed, output_error):
              for x in xs], noise, u, y, win.ts, 20, output_error=output_error)
         if any(isinstance(r, Exception) for r in out):
             return None
-        return [(r[0], r[3][20:], r[4].innovation_cov) for r in out]
+        return [(r[0], r[3][20:], r[4]) for r in out]
 
     def central(at):
         """Half the central step of (criterion, innovations, S) about
@@ -943,4 +942,4 @@ def test_predictor_stays_stable_over_random_candidates(seed):
         pred = solve_dare(disc, NoiseConfig())
     except RiccatiError:
         return
-    assert np.max(np.abs(np.linalg.eigvals(pred.ad_k))) < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(disc.ad - pred.kd @ disc.cd))) < 1.0

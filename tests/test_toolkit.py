@@ -562,6 +562,26 @@ def test_benchmark_trace_targets_exist():
     assert count > 2 and missing == []
 
 
+def test_benchmark_reproduce_workload_runs(tmp_path):
+    """One traced round of perfbench's reproduce workload passes its own
+    checks: the calls it makes into the package keep their signatures and
+    return shapes.  It runs on copies of src/ and perfbench/, so its
+    reports land under ``tmp_path``."""
+    import shutil
+
+    root = Path(__file__).resolve().parents[1]
+    skip = shutil.ignore_patterns("__pycache__", "perfbench-results")
+    for d in ("src", "perfbench"):
+        shutil.copytree(root / d, tmp_path / d, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "reproduce",
+         "--seed", "0", "--seconds", "0.01", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stderr
+
+
 # Public names that only tests call, each with the reason it stays.
 TEST_ONLY_NAMES = {
     "freq.closed_loop_response":
