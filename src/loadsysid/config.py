@@ -7,6 +7,7 @@ fails before any pipeline stage runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib.resources import files as _pkg_files
 from pathlib import Path
@@ -15,6 +16,11 @@ from loadsysid.errors import ConfigError
 from loadsysid.greybox import FREE_ALL, FREE_DEFAULT
 from loadsysid.motor import MotorSpec
 from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
+
+# Seeds of the external-injection and sensor-noise streams, as offsets from
+# the configuration's seed (the motor torque noise draws from the seed).
+_EXTERNAL_SEED_OFFSET = 1000
+_MEASUREMENT_SEED_OFFSET = 500
 
 
 @dataclass
@@ -129,7 +135,7 @@ def load_config(text, base_dir=None, seed_override=None):
     external = _window(values, "external", duration)
     active = external["variance"] > 0
     external.update(
-        seed=seed + _get(values, "scenario.external.seed_offset", int, 1000),
+        seed=seed + _EXTERNAL_SEED_OFFSET,
         bus=_get(values, "scenario.external.bus", int, required=active),
         direction_deg=_get(values, "scenario.external.direction_deg",
                            float, 0.0))
@@ -145,8 +151,7 @@ def load_config(text, base_dir=None, seed_override=None):
         internal=internal,
         external=external,
         measurement_variance=mvar,
-        measurement_seed=seed + _get(
-            values, "scenario.measurement.seed_offset", int, 500),
+        measurement_seed=seed + _MEASUREMENT_SEED_OFFSET,
     )
     band = (
         _get(values, "diagnostics.band_low_hz", float, 0.0),
@@ -202,6 +207,11 @@ def load_config(text, base_dir=None, seed_override=None):
     )
     if values:
         raise ConfigError(f"unknown configuration keys {sorted(values)}")
+    for key, value in (("ident.q", cfg.ident_q), ("ident.rm", cfg.ident_rm),
+                       ("ident.burn_in", cfg.ident_burn_in)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{key} must be finite and non-negative, "
+                              f"got {value!r}")
     return cfg
 
 

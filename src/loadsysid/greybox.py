@@ -64,7 +64,7 @@ class GreyBoxContinuous:
     b: np.ndarray  # 3x2
     c: np.ndarray  # 2x3
     d: np.ndarray  # 2x2
-    g: np.ndarray  # 3xm disturbance input
+    g: np.ndarray  # 3x1 disturbance input
 
     def __post_init__(self):
         shapes = tuple(m.shape[-2:] for m in (self.a, self.b, self.c, self.d))
@@ -94,18 +94,19 @@ class GreyBoxDiscrete:
 
 @dataclass
 class NoiseConfig:
-    """Disturbance and measurement noise description.
+    """Disturbance and measurement noise: a channel and three variances.
 
-    ``channel`` selects the pattern of the disturbance input: "torque"
-    enters the slip equation scaled by 1/Tj, "emf-wrong" enters the EMF-y
-    equation scaled by 1/T'd0 (a deliberately misplaced channel).  Neither
-    has a feedthrough to the outputs.  ``rm`` is a conditioning floor for
-    the measurement covariance; it is kept far below the innovation
-    variances so it does not distort their relative weighting.
+    ``channel`` selects the pattern of the scalar disturbance input, whose
+    variance is ``q``: "torque" enters the slip equation scaled by 1/Tj,
+    "emf-wrong" enters the EMF-y equation scaled by 1/T'd0 (a deliberately
+    misplaced channel).  Neither has a feedthrough to the outputs.  ``rm``
+    is the variance of each output's measurement noise, a conditioning
+    floor kept far below the innovation variances so it does not distort
+    their relative weighting.
     """
 
-    q: np.ndarray = field(default_factory=lambda: np.array([[0.002]]))
-    rm: np.ndarray = field(default_factory=lambda: 1e-10 * np.eye(2))
+    q: float = 0.002
+    rm: float = 1e-10
     channel: str = "torque"
     # Measurement-noise variances of the two input channels (dV, dtheta).
     # Input noise reaches the state through Bd and the outputs through Dd;
@@ -114,23 +115,14 @@ class NoiseConfig:
     input_variance: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        self.rm = np.atleast_2d(np.asarray(self.rm, dtype=float))
         self.input_variance = tuple(np.broadcast_to(
             np.asarray(self.input_variance, dtype=float), (2,)))
-        if any(v < 0 for v in self.input_variance):
-            raise ToolkitError("input variances must be non-negative")
+        if not all(0.0 <= v < math.inf
+                   for v in (self.q, self.rm, *self.input_variance)):
+            raise ToolkitError("noise variances must be finite and "
+                               "non-negative")
         if self.channel not in NOISE_CHANNELS:
             raise ToolkitError(f"unknown noise channel {self.channel!r}")
-        for m, name in ((self.q, "q"), (self.rm, "rm")):
-            if not np.allclose(m, m.T, atol=1e-12):
-                raise ToolkitError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(m)) < -1e-12:
-                raise ToolkitError(f"{name} must be positive semidefinite")
-
-    @property
-    def m(self):
-        return self.q.shape[0]
 
 
 @dataclass
@@ -179,8 +171,8 @@ class IdentResult:
 
 
 def noise_channel_matrices(noise, params):
-    """Disturbance input pattern G (3xm)."""
-    g = np.zeros((3, noise.m))
+    """Disturbance input pattern G (3x1)."""
+    g = np.zeros((3, 1))
     if noise.channel == "torque":
         g[2, 0] = 1.0 / params.Tj
     else:
@@ -308,16 +300,13 @@ def riccati_predictors(disc, noise):
     ad, cd = disc.ad, disc.cd
     k, nx = ad.shape[0], ad.shape[-1]
     failures = [None] * k
-    m = noise.m
-    wcov = np.zeros((m + 2, m + 2))
-    wcov[:m, :m] = noise.q
-    wcov[m:, m:] = np.diag(noise.input_variance)
+    wcov = np.diag([noise.q, *noise.input_variance])
     gb = np.concatenate([disc.gd, disc.bd], axis=-1)
-    hb = np.concatenate([np.zeros(disc.dd.shape[:-1] + (m,)), disc.dd],
+    hb = np.concatenate([np.zeros(disc.dd.shape[:-1] + (1,)), disc.dd],
                         axis=-1)
     gw = gb @ wcov
     nbar = gw @ _t(hb)
-    rbar = noise.rm + hb @ wcov @ _t(hb)
+    rbar = noise.rm * np.eye(cd.shape[-2]) + hb @ wcov @ _t(hb)
     qbar = gw @ _t(gb)
 
     with np.errstate(all="ignore"):
@@ -639,17 +628,18 @@ def _penalty_cause(result):
     return None
 
 
-def _default_bounds(init, free):
-    bounds = {}
-    for name in free:
-        p0 = getattr(init, name)
-        if name == "s0":
-            bounds[name] = (1e-4, 0.5)
-        elif p0 >= 0:
-            bounds[name] = (p0 / 10.0, p0 * 10.0)
-        else:
-            bounds[name] = (p0 * 10.0, p0 / 10.0)
-    return bounds
+def _scaled_box(init, free):
+    """Scale and search box ``(scale, lo, hi)`` of the free parameters.
+    Each parameter is divided by its initial value, so the start is all
+    ones and the box positive: a decade either way of the start, and the
+    slip within [1e-4, 0.5]."""
+    p0 = np.array([getattr(init, name) for name in free])
+    zero = [name for name, v in zip(free, p0) if v == 0]
+    if zero:
+        raise ToolkitError(f"free parameters {zero} have zero-width bounds")
+    slip = np.array([name == "s0" for name in free])
+    return (p0, np.where(slip, 1e-4 / p0, (p0 / 10.0) / p0),
+            np.where(slip, 0.5 / p0, (p0 * 10.0) / p0))
 
 
 # Forward-difference step of the Jacobian, in the scaled parameters (each
@@ -791,7 +781,7 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     """Prediction-error estimate of the free load parameters.
 
     Each start runs ``_levenberg_marquardt`` in the scaled parameters,
-    bounded by the default box.  Each candidate re-runs the full assemble
+    bounded by ``_scaled_box``.  Each candidate re-runs the full assemble
     / discretize / gain / predict chain, and the candidates of one search
     step (the difference points of a Jacobian, the damped trial steps) run
     through it as one stack (``evaluate_candidates``).  Every candidate is
@@ -812,13 +802,7 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     free = tuple(free)
     output_error = method == "tm"
 
-    p_init = np.array([getattr(init, name) for name in free])
-    scale = np.where(np.abs(p_init) > 0, p_init, 1.0)
-    lo, hi = np.array([sorted((a / s, b / s)) for s, (a, b)
-                       in zip(scale, _default_bounds(init, free).values())]).T
-    pinned = [name for name, a, b in zip(free, lo, hi) if b <= a]
-    if pinned:
-        raise ToolkitError(f"free parameters {pinned} have zero-width bounds")
+    scale, lo, hi = _scaled_box(init, free)
 
     tie_emf = "Exp0" not in free and "Eyp0" not in free
 
@@ -873,8 +857,7 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     for _ in range(max(0, n_restarts - 1)):
         draw = np.empty(len(free))
         for j, (lo_s, hi_s) in enumerate(zip(lo, hi)):
-            lo_c = max(lo_s, 1e-12)
-            draw[j] = math.exp(rng.uniform(math.log(lo_c), math.log(hi_s)))
+            draw[j] = math.exp(rng.uniform(math.log(lo_s), math.log(hi_s)))
         starts.append(draw)
 
     chosen, reports = None, []

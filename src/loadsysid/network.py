@@ -15,7 +15,7 @@ import numpy as np
 from loadsysid.errors import CaseParseError, CaseValidationError, PowerFlowError
 
 BUS_KINDS = ("slack", "pv", "pq")
-LOAD_KINDS = ("impedance", "motor", "injection")
+LOAD_KINDS = ("impedance", "motor")
 
 # Newton power flow: largest mismatch accepted, and the iteration budget.
 PF_TOL = 1e-8
@@ -101,9 +101,9 @@ class NetworkCase:
                 raise CaseValidationError(f"load on unknown bus {ld.bus}")
             if ld.kind not in LOAD_KINDS:
                 raise CaseValidationError(f"unknown load kind {ld.kind!r}")
-            if ld.kind in ("motor", "injection") and kind_of[ld.bus] != "pq":
+            if ld.kind == "motor" and kind_of[ld.bus] != "pq":
                 raise CaseValidationError(
-                    f"{ld.kind} load must sit on a PQ bus, bus {ld.bus} "
+                    f"motor load must sit on a PQ bus, bus {ld.bus} "
                     f"is {kind_of[ld.bus]}"
                 )
 

@@ -163,12 +163,8 @@ def _noise_for(cfg, method):
     channel = {"pem-a": "torque", "pem-b": "emf-wrong", "tm": "torque"}[method]
     mvar = cfg.scenario.measurement_variance
     rm = max(cfg.ident_rm, *mvar[2:], 1e-12)
-    return NoiseConfig(
-        q=np.array([[cfg.ident_q]]),
-        rm=rm * np.eye(2),
-        channel=channel,
-        input_variance=mvar[:2],
-    )
+    return NoiseConfig(q=cfg.ident_q, rm=rm, channel=channel,
+                       input_variance=mvar[:2])
 
 
 def run_identify(cfg, out_dir, series, system, method):

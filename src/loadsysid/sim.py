@@ -364,8 +364,7 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     """Analytic linearization at the equilibrium.
 
     States follow ``eq.state_labels()``.  Inputs are the motor torque noise
-    and, when a disturbance bus is given (or declared in the case), the
-    external current injection.  Outputs are the motor-bus quantities
+    and, when a disturbance bus is given, the external current injection.  Outputs are the motor-bus quantities
     (v, theta, p, q) plus the rectangular voltage and current deltas.
 
     Every state derivative and output depends on a read-bus voltage ``v``
@@ -376,9 +375,6 @@ def linearize_system(case, eq, disturbance_bus=None, direction_deg=0.0):
     nx = eq.n_states
     ng = len(eq.dyn_gen_buses)
     rx, ry, rs = nx - 3, nx - 2, nx - 1
-    if disturbance_bus is None:
-        inj = [ld for ld in case.loads if ld.kind == "injection"]
-        disturbance_bus = inj[0].bus if inj else None
 
     z0 = eq.equilibrium_state()
     _, v0 = _rhs(eq, z0)

@@ -34,8 +34,8 @@ from loadsysid.errors import (
     UnstablePredictorError,
 )
 from loadsysid.greybox import (
-    _default_bounds,
     _penalty_cause,
+    _scaled_box,
     _series_arrays,
     evaluate_candidates,
     van_loan,
@@ -52,9 +52,7 @@ def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
     usable criterion scores 1e6.  Returns the lowest criterion scored."""
     u, y, operating_point = _series_arrays(series)
     init = replace(init, **operating_point)
-    scale = np.array([getattr(init, name) for name in free])
-    bounds = [tuple(sorted((lo / s, hi / s))) for s, (lo, hi)
-              in zip(scale, _default_bounds(init, free).values())]
+    scale, lo, hi = _scaled_box(init, free)
     scored = []
 
     def make_params(x):
@@ -80,9 +78,9 @@ def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
         scored.extend(values)
         return values
 
-    x0 = np.clip(np.ones(len(free)), *np.array(bounds).T)
+    x0 = np.clip(np.ones(len(free)), lo, hi)
     minimize(lambda x: batch(None, [x])[0], x0, method="L-BFGS-B",
-             bounds=bounds,
+             bounds=list(zip(lo, hi)),
              options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,
                       "gtol": 1e-10, "workers": batch})
     return min(scored)
@@ -148,8 +146,8 @@ def solve_dare_loop(disc, noise, tol=1e-12, max_iter=120):
     solver."""
     ad, cd, gd = disc.ad, disc.cd, disc.gd
     nbar = np.zeros(cd.shape[::-1])
-    rbar = noise.rm
-    qbar = gd @ noise.q @ gd.T
+    rbar = noise.rm * np.eye(cd.shape[0])
+    qbar = noise.q * gd @ gd.T
     if any(v > 0 for v in noise.input_variance):
         siu = np.diag(noise.input_variance)
         nbar = nbar + disc.bd @ siu @ disc.dd.T

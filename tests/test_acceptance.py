@@ -73,7 +73,7 @@ def _reference_scenario(seed):
 
 
 def _ident_noise(channel):
-    return NoiseConfig(channel=channel, rm=1e-8 * np.eye(2),
+    return NoiseConfig(channel=channel, rm=1e-8,
                        input_variance=(1e-9, 1e-9))
 
 
@@ -225,8 +225,8 @@ def test_criterion_05_riccati_predictor(wscc_eq):
         lfilter([0.2], [1, -0.8], rng.standard_normal(n)),
         lfilter([0.2], [1, -0.8], rng.standard_normal(n)),
     ])
-    e = math.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
-    v = math.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
+    e = math.sqrt(noise.q) * rng.standard_normal((n, 1))
+    v = math.sqrt(noise.rm) * rng.standard_normal((n, 2))
     y = simulate_discrete_loop(disc, u, e=e, v=v)
     _, eps = predict(pred.kd, disc, u, y)
     band = 2.0 / math.sqrt(n - 200)

@@ -92,6 +92,18 @@ def test_noise_channel_patterns():
     assert np.allclose(g2.ravel(), [0, 1.0 / p.Td0p, 0])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"q": -1e-3}, "variances"),
+    ({"q": float("inf")}, "variances"),
+    ({"rm": float("nan")}, "variances"),
+    ({"input_variance": (0.0, -1e-9)}, "variances"),
+    ({"channel": "voltage"}, "unknown noise channel 'voltage'"),
+])
+def test_noise_config_rejects_bad_variances_and_channels(kwargs, message):
+    with pytest.raises(ToolkitError, match=message):
+        NoiseConfig(**kwargs)
+
+
 def test_assembly_against_symbolic_linearization():
     """Independent oracle: symbolic differentiation of the nonlinear motor
     model plus the static part."""
@@ -232,8 +244,8 @@ def test_scalar_dare_closed_form():
         ad=np.array([[0.5]]), bd=np.zeros((1, 2)), cd=np.array([[1.0]]),
         dd=np.zeros((1, 2)), gd=np.array([[1.0]]), bd_ramp=np.zeros((1, 2)),
     )
-    noise = NoiseConfig(q=np.array([[1.0]]), rm=np.array([[1.0]]))
-    # bypass the 2-output validation with matching shapes
+    # One output: the measurement floor rm I takes its size from cd.
+    noise = NoiseConfig(q=1.0, rm=1.0)
     pred = solve_dare(disc, noise)
     root = (0.25 + np.sqrt(0.0625 + 4.0)) / 2.0
     assert abs(pred.p[0, 0] - root) < 1e-12
@@ -244,7 +256,7 @@ def test_scalar_dare_closed_form():
 def test_dare_zero_process_noise():
     cont = assemble_continuous(_params(), NoiseConfig())
     disc = discretize_zoh(cont, 0.01)
-    noise = NoiseConfig(q=np.array([[0.0]]), rm=1e-6 * np.eye(2))
+    noise = NoiseConfig(q=0.0, rm=1e-6)
     pred = solve_dare(disc, noise)
     assert np.max(np.abs(pred.p)) < 1e-15
     assert np.max(np.abs(pred.kd)) < 1e-12
@@ -256,8 +268,8 @@ def test_dare_against_fixed_point_iteration():
     noise = NoiseConfig()
     pred = solve_dare(disc, noise)
     nbar = np.zeros((3, 2))
-    rbar = noise.rm.copy()
-    qbar = disc.gd @ noise.q @ disc.gd.T
+    rbar = noise.rm * np.eye(2)
+    qbar = noise.q * disc.gd @ disc.gd.T
     p = np.eye(3)
     for _ in range(3000):
         p_next = dare_step(p, disc.ad, disc.cd, nbar, rbar, qbar)
@@ -305,7 +317,7 @@ def test_riccati_stack_matches_doubling_oracle(seed):
     eps over 3000 draws), so its bound grows with cond(S)."""
     rng = np.random.default_rng(seed)
     noise = NoiseConfig(
-        channel=NOISE_CHANNELS[rng.integers(2)], rm=1e-8 * np.eye(2),
+        channel=NOISE_CHANNELS[rng.integers(2)], rm=1e-8,
         input_variance=tuple(rng.choice([0.0, 1e-9, 1e-7], size=2)))
     cands = [_random_params(rng, _params()) for _ in range(4)]
     disc = _stacked_discrete(cands, noise)
@@ -329,11 +341,22 @@ def test_riccati_stack_matches_doubling_oracle(seed):
         assert np.array_equal(single.kd, pred.kd[j])
 
 
+def test_measurement_floor_is_each_outputs_variance():
+    """``rm`` adds rm I to the innovation covariance, not rm on every
+    entry (which would make the 2x2 floor singular)."""
+    cont = assemble_continuous(_params(), NoiseConfig())
+    disc = discretize_zoh(cont, 0.01)
+    pred = solve_dare(disc, NoiseConfig(rm=1e-8))
+    assert pred.residual <= 1e-9
+    floor = pred.innovation_cov - disc.cd @ pred.p @ disc.cd.T
+    assert np.allclose(floor, 1e-8 * np.eye(2), rtol=0.0, atol=1e-18)
+
+
 def test_dare_singular_floor_rejected():
     cont = assemble_continuous(_params(), NoiseConfig())
     disc = discretize_zoh(cont, 0.01)
     with pytest.raises((RiccatiError, ToolkitError)):
-        noise = NoiseConfig(rm=np.zeros((2, 2)))
+        noise = NoiseConfig(rm=0.0)
         solve_dare(disc, noise)
 
 
@@ -378,8 +401,8 @@ def test_innovations_white_on_matched_synthetic_data():
         lfilter([0.2], [1, -0.8], rng.standard_normal(n)),
         lfilter([0.2], [1, -0.8], rng.standard_normal(n)),
     ])
-    e = np.sqrt(noise.q[0, 0]) * rng.standard_normal((n, 1))
-    v = np.sqrt(noise.rm[0, 0]) * rng.standard_normal((n, 2))
+    e = np.sqrt(noise.q) * rng.standard_normal((n, 1))
+    v = np.sqrt(noise.rm) * rng.standard_normal((n, 2))
     y = simulate_discrete_loop(disc, u, e=e, v=v)
     _, eps = predict(pred.kd, disc, u, y)
     band = 2.0 / np.sqrt(n - 200)
@@ -535,7 +558,7 @@ def _noise_free_series(params, n=400, seed=3):
     from loadsysid.series import MeasurementSeries
     from scipy.signal import lfilter
 
-    noise = NoiseConfig(q=np.array([[0.0]]))
+    noise = NoiseConfig(q=0.0)
     cont = assemble_continuous(params, noise)
     disc = discretize_zoh(cont, 0.01)
     rng = np.random.default_rng(seed)
@@ -561,7 +584,7 @@ def _noise_free_series(params, n=400, seed=3):
 def test_identify_is_a_fixed_point_on_noise_free_data():
     truth = _consistent_truth()
     win = _noise_free_series(truth)
-    noise = NoiseConfig(q=np.array([[0.0]]))
+    noise = NoiseConfig(q=0.0)
     res = identify(win, truth, noise=noise, n_restarts=1, burn_in=0,
                    free=("X", "Xp", "Td0p", "Tj", "s0"))
     assert res.quad_loss < 1e-12
@@ -583,7 +606,7 @@ def test_identify_objective_never_worsens():
     truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
-    res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
+    res = identify(win, init, noise=NoiseConfig(q=0.0),
                    n_restarts=1, burn_in=0)
     assert res.loss <= res.initial_loss + 1e-15
 
@@ -592,7 +615,7 @@ def test_converged_is_the_chosen_starts_optimizer_status():
     truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
-    res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
+    res = identify(win, init, noise=NoiseConfig(q=0.0),
                    n_restarts=1, burn_in=0, maxiter=1)
     # One iteration improves the criterion but stops at the iteration limit.
     assert res.loss < res.initial_loss
@@ -612,7 +635,7 @@ def test_identify_recovers_the_truth_from_a_perturbed_init(seed):
     truth = _consistent_truth()
     win = _noise_free_series(truth, seed=seed)
     res = identify(win, perturbed_init(truth, seed),
-                   noise=NoiseConfig(q=np.array([[0.0]])), n_restarts=1,
+                   noise=NoiseConfig(q=0.0), n_restarts=1,
                    burn_in=0)
     assert res.converged and res.starts[0]["nit"] <= 20
     for name in ("X", "Xp", "Td0p", "Tj", "s0"):
@@ -720,7 +743,7 @@ def test_candidate_stack_matches_scalar_evaluation():
         _retied(replace(truth, X=0.623, Xp=0.0345, Td0p=3.405, Tj=0.284,
                         s0=0.0674)),
     ]
-    noise = NoiseConfig(channel="emf-wrong", rm=1e-8 * np.eye(2),
+    noise = NoiseConfig(channel="emf-wrong", rm=1e-8,
                         input_variance=(1e-9, 1e-9))
     kinds = {}
     with warnings.catch_warnings():
@@ -793,7 +816,7 @@ def test_stacked_jacobian_matches_central_differences(seed, output_error):
     truth = _consistent_truth()
     win = _noise_free_series(truth, seed=3)
     u, y, _ = _series_arrays(win)
-    noise = NoiseConfig(rm=1e-8 * np.eye(2))
+    noise = NoiseConfig(rm=1e-8)
     base = _retied(_random_params(np.random.default_rng(seed), truth))
     scale = np.array([getattr(base, n) for n in FREE_DEFAULT])
     eye = np.eye(len(FREE_DEFAULT))
@@ -868,7 +891,7 @@ def test_identify_scores_each_gradient_as_one_stack(monkeypatch):
     truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, X=truth.X * 1.3, Tj=truth.Tj * 0.8)
-    res = identify(win, init, noise=NoiseConfig(q=np.array([[0.0]])),
+    res = identify(win, init, noise=NoiseConfig(q=0.0),
                    n_restarts=1, burn_in=0, maxiter=5)
     assert sum(res.meta["penalties"].values()) == 0
     assert sizes[:2] == [1 + 5, 4] and set(sizes[2:]) == {5, 4}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid import network
+from loadsysid.config import resolve_case
 from loadsysid.errors import CaseParseError, CaseValidationError, PowerFlowError
 from loadsysid.network import (
     build_admittance,
@@ -39,6 +40,15 @@ def test_minimal_two_bus_case():
 def test_dangling_branch_reference_rejected():
     text = TWO_BUS + "\n[branch]\n1 99 0.0 0.1\n"
     with pytest.raises(CaseValidationError):
+        load_case(text)
+
+
+def test_injection_load_kind_rejected():
+    """The external disturbance bus is the scenario's, not the case's."""
+    text = resolve_case("wscc9").replace("8      1.00  0.35  impedance",
+                                         "8      1.00  0.35  injection")
+    with pytest.raises(CaseValidationError,
+                       match="unknown load kind 'injection'"):
         load_case(text)
 
 

@@ -90,6 +90,14 @@ def test_config_rejects_bad_lines():
         load_config(SHORT_CFG + "ident.restart = 1\nmotor.x = 3\n")
 
 
+@pytest.mark.parametrize("line", ["ident.q = -1", "ident.q = nan",
+                                  "ident.rm = -1e-8", "ident.burn_in = -5"])
+def test_config_rejects_negative_or_non_finite_ident_values(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=key):
+        load_config(SHORT_CFG + line + "\n")
+
+
 def test_config_missing_case_file():
     with pytest.raises(ConfigError):
         load_config("case = /nonexistent/path.case\nmotor.X = 1\n"
@@ -477,6 +485,7 @@ def test_cli_rejects_seed_with_seed_range(tmp_path):
                                   "ident.init = explicit:1.0,0.2",
                                   "ident.free = X,Xp,Td0p,Tj,s0,Pz",
                                   "ident.restart = 1",
+                                  "ident.q = -1",
                                   "scenario.internal.hold = 0.0007",
                                   "scenario.external.start = soon"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
@@ -631,6 +640,48 @@ def test_every_public_name_has_a_package_caller():
                        for where, line in refs.get(node.name, [])):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)
+
+
+# Dataclass fields that no package code reads, each with the reason it stays.
+WRITE_ONLY_FIELDS = {
+    "network.PowerFlowSolution.iterations":
+        "the power-flow tests read the Newton iteration count",
+    "network.PowerFlowSolution.max_mismatch":
+        "the power-flow tests read the converged mismatch",
+    "sim.SystemEquilibrium.slack_gen_bus":
+        "the full-network oracles place the slack machine by it",
+    "sim.SystemEquilibrium.y_dyn":
+        "the full-network oracles solve the dynamic network with it",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass of the package is read in src/,
+    perfbench/ or scripts/ (an attribute load, or a string constant such
+    as a ``getattr`` name), or is listed in ``WRITE_ONLY_FIELDS``."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for d in ("src", "perfbench", "scripts"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    read.add(node.value)
+    unread = []
+    for path in sorted((root / "src" / "loadsysid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list)):
+                continue
+            unread += [f"{path.stem}.{node.name}.{item.target.id}"
+                       for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and item.target.id not in read]
+    assert sorted(unread) == sorted(WRITE_ONLY_FIELDS)
 
 
 # Keyword options that no package code sets, each with the reason it stays.
