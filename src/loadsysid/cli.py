@@ -27,7 +27,7 @@ from loadsysid.errors import (
     SimulationError,
     ToolkitError,
 )
-from loadsysid.greybox import FREE_DEFAULT
+from loadsysid.greybox import FREE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,12 +136,12 @@ def _batch_reproduce(args, out):
         row = [seed]
         for method in pipeline.METHODS:
             est = bundle["results"][method].params
-            for name in FREE_DEFAULT:
+            for name in FREE:
                 row.append(getattr(est, name) / getattr(truth, name) - 1.0)
         rows.append(row)
     columns = ["seed"]
     for method in pipeline.METHODS:
-        columns += [f"{method}_{n}_relerr" for n in FREE_DEFAULT]
+        columns += [f"{method}_{n}_relerr" for n in FREE]
     Path(out).mkdir(parents=True, exist_ok=True)
     tio.write_table(Path(out) / "aggregate.csv", columns, rows)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from importlib.resources import files as _pkg_files
 from pathlib import Path
 
-from loadsysid.errors import ConfigError
-from loadsysid.greybox import FREE_ALL, FREE_DEFAULT
+from loadsysid.errors import CaseValidationError, ConfigError
+from loadsysid.greybox import FREE
 from loadsysid.motor import MotorSpec
 from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
 
@@ -39,7 +39,6 @@ class ExperimentConfig:
     ident_burn_in: int
     ident_q: float
     ident_rm: float
-    ident_free: tuple
     ident_maxiter: int
     seed: int
     out_dir: str
@@ -60,27 +59,37 @@ def _parse_kv(text):
     return values
 
 
-def _get(values, key, cast, default=None, required=False):
+def _get(values, key, cast, default=None, required=False, low=None,
+         strict=False):
     """Cast and remove ``values[key]``; what is left over once the
-    configuration is built is unknown."""
+    configuration is built is unknown.  A value read with a lower bound
+    ``low`` must be finite and at least ``low``, or above it if ``strict``
+    (``low=-math.inf``: finite only)."""
     if key not in values:
         if required:
             raise ConfigError(f"missing required key {key!r}")
         return default
     raw = values.pop(key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+    if low is not None and not (math.isfinite(value) and (
+            value > low or (value == low and not strict))):
+        bound = "" if low == -math.inf else (
+            f" and {'>' if strict else '>='} {low}")
+        raise ConfigError(f"{key} must be finite{bound}, got {value!r}")
+    return value
 
 
 def _window(values, name, duration):
     """A noise window's keys, read whether or not its variance is zero."""
     key = f"scenario.{name}."
-    return {"variance": _get(values, key + "variance", float, 0.0),
+    return {"variance": _get(values, key + "variance", float, 0.0, low=0.0),
             "start": _get(values, key + "start", float, 0.0),
             "end": _get(values, key + "end", float, duration),
-            "hold_dt": _get(values, key + "hold", float)}
+            "hold_dt": _get(values, key + "hold", float, low=0.0,
+                            strict=True)}
 
 
 def parse_init(mode):
@@ -90,17 +99,17 @@ def parse_init(mode):
         return "truth", None
     kind, _, arg = mode.partition(":")
     try:
-        if kind == "perturbed":
+        if kind == "perturbed" and math.isfinite(float(arg)):
             return "perturbed", float(arg)
         if kind == "explicit":
             values = [float(v) for v in arg.split(",")]
-            if len(values) == len(FREE_DEFAULT):
-                return "explicit", dict(zip(FREE_DEFAULT, values))
+            if len(values) == len(FREE):
+                return "explicit", dict(zip(FREE, values))
     except ValueError:
         pass
     raise ConfigError(f"bad ident.init mode {mode!r}: expected truth, "
                       f"perturbed:<percent> or explicit:"
-                      f"{','.join(FREE_DEFAULT)}")
+                      f"{','.join(FREE)}")
 
 
 def resolve_case(name_or_path, base_dir=None):
@@ -119,15 +128,16 @@ def resolve_case(name_or_path, base_dir=None):
 
 def load_config(text, base_dir=None, seed_override=None):
     values = _parse_kv(text)
-    seed = _get(values, "seed", int, 1)
+    seed = _get(values, "seed", int, 1, low=0)
     if seed_override is not None:
-        seed = seed_override
+        seed = _get({"--seed": seed_override}, "--seed", int, low=0)
 
     case_text = resolve_case(_get(values, "case", str, "wscc9"), base_dir)
 
-    duration = _get(values, "scenario.duration", float, 20.0)
-    ts = _get(values, "scenario.ts", float, 0.01)
-    dt = _get(values, "scenario.dt_integration", float, 0.0005)
+    duration, ts, dt = (
+        _get(values, f"scenario.{key}", float, default, low=0.0, strict=True)
+        for key, default in (("duration", 20.0), ("ts", 0.01),
+                             ("dt_integration", 0.0005)))
 
     internal = _window(values, "internal", duration)
     internal = (NoiseWindow(seed=seed, **internal)
@@ -138,10 +148,10 @@ def load_config(text, base_dir=None, seed_override=None):
         seed=seed + _EXTERNAL_SEED_OFFSET,
         bus=_get(values, "scenario.external.bus", int, required=active),
         direction_deg=_get(values, "scenario.external.direction_deg",
-                           float, 0.0))
+                           float, 0.0, low=-math.inf))
     external = ExternalNoise(**external) if active else None
     mvar = tuple(
-        _get(values, f"scenario.measurement.{c}", float, 0.0)
+        _get(values, f"scenario.measurement.{c}", float, 0.0, low=0.0)
         for c in ("v", "theta", "p", "q")
     )
     scenario = Scenario(
@@ -154,64 +164,52 @@ def load_config(text, base_dir=None, seed_override=None):
         measurement_seed=seed + _MEASUREMENT_SEED_OFFSET,
     )
     band = (
-        _get(values, "diagnostics.band_low_hz", float, 0.0),
-        _get(values, "diagnostics.band_high_hz", float, 10.0),
+        _get(values, "diagnostics.band_low_hz", float, 0.0, low=0.0),
+        _get(values, "diagnostics.band_high_hz", float, 10.0, low=0.0),
     )
     if band[1] > 0.5 / ts + 1e-12:
         raise ConfigError(
             f"diagnostic band edge {band[1]} Hz exceeds the Nyquist "
             f"frequency {0.5 / ts} Hz"
         )
-    motor = MotorSpec(
-        X=_get(values, "motor.X", float, required=True),
-        Xp=_get(values, "motor.Xp", float, required=True),
-        Td0p=_get(values, "motor.Td0p", float, required=True),
-        Tj=_get(values, "motor.Tj", float, required=True),
-        s0=_get(values, "motor.s0", float, None),
-    )
+    try:
+        motor = MotorSpec(
+            X=_get(values, "motor.X", float, required=True),
+            Xp=_get(values, "motor.Xp", float, required=True),
+            Td0p=_get(values, "motor.Td0p", float, required=True),
+            Tj=_get(values, "motor.Tj", float, required=True),
+            s0=_get(values, "motor.s0", float, None),
+        )
+    except CaseValidationError as exc:
+        raise ConfigError(f"motor: {exc}") from exc
     window = (
         _get(values, "analysis.start", float,
-             internal.start if internal else 0.0),
-        _get(values, "analysis.end", float, duration),
+             internal.start if internal else 0.0, low=0.0),
+        _get(values, "analysis.end", float, duration, low=0.0),
     )
     init_mode = _get(values, "ident.init", str, "perturbed:30")
     parse_init(init_mode)
-    free = tuple(
-        s.strip() for s in _get(values, "ident.free", str,
-                                ",".join(FREE_DEFAULT)).split(",")
-        if s.strip()
-    )
-    unknown = [name for name in free if name not in FREE_ALL]
-    if unknown:
-        raise ConfigError(f"ident.free names unknown parameters {unknown}; "
-                          f"choose from {FREE_ALL}")
     cfg = ExperimentConfig(
         case_text=case_text,
         scenario=scenario,
         analysis_window=window,
         motor=motor,
         band_hz=band,
-        segment=_get(values, "diagnostics.segment", int, 64),
-        info_segment=_get(values, "diagnostics.info_segment", int, 32),
-        pe_order_max=_get(values, "diagnostics.pe_order_max", int, 60),
-        pad_factor=_get(values, "diagnostics.pad_factor", int, 4),
+        segment=_get(values, "diagnostics.segment", int, 64, low=1),
+        info_segment=_get(values, "diagnostics.info_segment", int, 32, low=1),
+        pe_order_max=_get(values, "diagnostics.pe_order_max", int, 60, low=1),
+        pad_factor=_get(values, "diagnostics.pad_factor", int, 4, low=1),
         ident_init=init_mode,
-        ident_restarts=_get(values, "ident.restarts", int, 2),
-        ident_burn_in=_get(values, "ident.burn_in", int, 50),
-        ident_q=_get(values, "ident.q", float, 0.002),
-        ident_rm=_get(values, "ident.rm", float, 1e-8),
-        ident_free=free,
-        ident_maxiter=_get(values, "ident.maxiter", int, 300),
+        ident_restarts=_get(values, "ident.restarts", int, 2, low=1),
+        ident_burn_in=_get(values, "ident.burn_in", int, 50, low=0),
+        ident_q=_get(values, "ident.q", float, 0.002, low=0.0),
+        ident_rm=_get(values, "ident.rm", float, 1e-8, low=0.0),
+        ident_maxiter=_get(values, "ident.maxiter", int, 300, low=0),
         seed=seed,
         out_dir=_get(values, "out", str, "out"),
     )
     if values:
         raise ConfigError(f"unknown configuration keys {sorted(values)}")
-    for key, value in (("ident.q", cfg.ident_q), ("ident.rm", cfg.ident_rm),
-                       ("ident.burn_in", cfg.ident_burn_in)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{key} must be finite and non-negative, "
-                              f"got {value!r}")
     return cfg
 
 

@@ -165,11 +165,10 @@ def _output_conversion(params):
     ct, st = math.cos(th0), math.sin(th0)
     w_v = np.array([[ct, st], [-st / v0, ct / v0]])           # (dVx,dVy)->(dV,dth)
     v = v0 * np.exp(1j * th0)
-    # Power drawn at the operating point: the motor's plus the static part.
+    # Power the motor draws at the operating point.
     s0 = complex(
-        (params.Exp0 * v.imag - params.Eyp0 * v.real) / params.Xp + params.Pz,
-        (abs(v) ** 2 - v.real * params.Exp0 - v.imag * params.Eyp0) / params.Xp
-        + params.Qz)
+        (params.Exp0 * v.imag - params.Eyp0 * v.real) / params.Xp,
+        (abs(v) ** 2 - v.real * params.Exp0 - v.imag * params.Eyp0) / params.Xp)
     i0 = np.conj(s0 / v)
     w_y = np.array([[ct, st], [st, -ct]]) / v0                # (dP,dQ)->(dIx,dIy)
     w_u = np.column_stack([

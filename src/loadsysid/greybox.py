@@ -2,14 +2,13 @@
 
 The continuous model has states (dE'x, dE'y, ds), inputs (dV, dtheta) and
 outputs (dP, dQ); every matrix entry is an explicit function of the physical
-parameters, obtained by linearizing the third-order motor model plus the
-static constant-impedance part at the operating point, and discretized
-exactly with a first-order-hold input ramp.  The one-step predictor is the
-discrete model plus its steady-state Kalman gain (zero gain and the mean
-squared prediction error for the output-error baseline), and identification
-minimizes the Gaussian prediction-error criterion over the free physical
-parameters with a bounded Levenberg-Marquardt search on the Fisher-scoring
-Hessian.
+parameters, obtained by linearizing the third-order motor model at the
+operating point, and discretized exactly with a first-order-hold input
+ramp.  The one-step predictor is the discrete model plus its steady-state
+Kalman gain (zero gain and the mean squared prediction error for the
+output-error baseline), and identification minimizes the Gaussian
+prediction-error criterion over the five motor constants with a bounded
+Levenberg-Marquardt search on the Fisher-scoring Hessian.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from loadsysid.errors import (
 )
 from loadsysid.motor import LoadParameters, emf_steady_state
 
-# Default free parameters.  The equilibrium EMF pair is tied to the motor
-# steady-state relation at (X, Xp, Td0p, s0, V0, theta0) unless explicitly
-# freed; untying it opens a flat escape direction in which the optimizer
-# shrinks the deterministic path and inflates the noise gain.
-FREE_DEFAULT = ("X", "Xp", "Td0p", "Tj", "s0")
-FREE_ALL = FREE_DEFAULT + ("Exp0", "Eyp0")
+# The free parameters.  The equilibrium EMF pair is tied to the motor
+# steady-state relation at (X, Xp, Td0p, s0, V0, theta0); untied, it would
+# open a flat escape direction in which the optimizer shrinks the
+# deterministic path and inflates the noise gain.
+FREE = ("X", "Xp", "Td0p", "Tj", "s0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
 
@@ -204,9 +202,8 @@ def assemble_continuous(params, noise):
         [-v0 * ct / Xp, -v0 * st / Xp, 0.0],
     ])
     d = np.array([
-        [(ex0 * st - ey0 * ct) / Xp + 2.0 * params.Pz / v0,
-         v0 * (ex0 * ct + ey0 * st) / Xp],
-        [(2.0 * v0 - ex0 * ct - ey0 * st) / Xp + 2.0 * params.Qz / v0,
+        [(ex0 * st - ey0 * ct) / Xp, v0 * (ex0 * ct + ey0 * st) / Xp],
+        [(2.0 * v0 - ex0 * ct - ey0 * st) / Xp,
          v0 * (ex0 * st - ey0 * ct) / Xp],
     ])
     return GreyBoxContinuous(a=a, b=b, c=c, d=d,
@@ -628,16 +625,13 @@ def _penalty_cause(result):
     return None
 
 
-def _scaled_box(init, free):
+def _scaled_box(init):
     """Scale and search box ``(scale, lo, hi)`` of the free parameters.
     Each parameter is divided by its initial value, so the start is all
     ones and the box positive: a decade either way of the start, and the
     slip within [1e-4, 0.5]."""
-    p0 = np.array([getattr(init, name) for name in free])
-    zero = [name for name, v in zip(free, p0) if v == 0]
-    if zero:
-        raise ToolkitError(f"free parameters {zero} have zero-width bounds")
-    slip = np.array([name == "s0" for name in free])
+    p0 = np.array([getattr(init, name) for name in FREE])
+    slip = np.array([name == "s0" for name in FREE])
     return (p0, np.where(slip, 1e-4 / p0, (p0 / 10.0) / p0),
             np.where(slip, 0.5 / p0, (p0 * 10.0) / p0))
 
@@ -776,9 +770,10 @@ def _levenberg_marquardt(score, x, lo, hi, maxiter):
                         status=f"largest scaled step < {XTOL:g}")
 
 
-def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
-             burn_in=50, seed=0, maxiter=300, method="pem-a"):
-    """Prediction-error estimate of the free load parameters.
+def identify(series, init, noise=None, n_restarts=2, burn_in=50, seed=0,
+             maxiter=300, method="pem-a"):
+    """Prediction-error estimate of the motor constants ``FREE``, with the
+    EMF pair tied to them.
 
     Each start runs ``_levenberg_marquardt`` in the scaled parameters,
     bounded by ``_scaled_box``.  Each candidate re-runs the full assemble
@@ -799,22 +794,16 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     ts = series.ts
     init = replace(init, **operating_point)
     noise = noise if noise is not None else NoiseConfig()
-    free = tuple(free)
     output_error = method == "tm"
 
-    scale, lo, hi = _scaled_box(init, free)
-
-    tie_emf = "Exp0" not in free and "Eyp0" not in free
+    scale, lo, hi = _scaled_box(init)
 
     def make_params(x):
-        values = dict(zip(free, x * scale))
-        p = replace(init, **values)
-        if tie_emf:
-            e0 = emf_steady_state(
-                p.X, p.Xp, p.Td0p, p.s0, p.V0 * np.exp(1j * p.theta0)
-            )
-            p = replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
-        return p
+        p = replace(init, **dict(zip(FREE, x * scale)))
+        e0 = emf_steady_state(
+            p.X, p.Xp, p.Td0p, p.s0, p.V0 * np.exp(1j * p.theta0)
+        )
+        return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
 
     n_eval = 0
     penalties = dict.fromkeys(PENALTY_CAUSES, 0)
@@ -853,9 +842,9 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
         return out
 
     rng = np.random.default_rng(seed)
-    starts = [np.ones(len(free))]
+    starts = [np.ones(len(FREE))]
     for _ in range(max(0, n_restarts - 1)):
-        draw = np.empty(len(free))
+        draw = np.empty(len(FREE))
         for j, (lo_s, hi_s) in enumerate(zip(lo, hi)):
             draw[j] = math.exp(rng.uniform(math.log(lo_s), math.log(hi_s)))
         starts.append(draw)
@@ -880,7 +869,7 @@ def identify(series, init, noise=None, free=FREE_DEFAULT, n_restarts=2,
     crit, x_best, p_est, quad, yhat = best[chosen]
     at_bound = [
         name
-        for name, xv, lo_s, hi_s in zip(free, x_best, lo, hi)
+        for name, xv, lo_s, hi_s in zip(FREE, x_best, lo, hi)
         if xv - lo_s < 1e-6 * (hi_s - lo_s) or hi_s - xv < 1e-6 * (hi_s - lo_s)
     ]
     fit = {ch: float(v) for ch, v

@@ -8,8 +8,7 @@ synchronously rotating frame the EMF dynamics are
     dE'/dt = [-X E' + (X - X') V] / (X' T'd0) - j s * OMEGA_S * E'
     Tj ds/dt = Tm - Te,   Te = (E'x Vy - E'y Vx) / X'
 
-with time in seconds and all electrical quantities per-unit.  A static
-constant-impedance part (Pz, Qz at V0) may ride along with the motor.
+with time in seconds and all electrical quantities per-unit.
 """
 
 from __future__ import annotations
@@ -20,6 +19,18 @@ from loadsysid.constants import OMEGA_S
 from loadsysid.errors import CaseValidationError, EquilibriumError
 
 
+def _check_constants(X, Xp, Td0p, Tj, s0):
+    """Reject motor constants outside the model's domain; each check is
+    written so that NaN fails it.  ``s0`` None leaves the slip unchecked."""
+    if not X > Xp > 0.0:
+        raise CaseValidationError(f"need X > Xp > 0, got X={X}, Xp={Xp}")
+    if not (Td0p > 0.0 and Tj > 0.0):
+        raise CaseValidationError(
+            f"time constants must be positive, got Td0p={Td0p}, Tj={Tj}")
+    if s0 is not None and not 0.0 < s0 < 1.0:
+        raise CaseValidationError(f"slip must lie in (0, 1), got {s0}")
+
+
 @dataclass(frozen=True)
 class LoadParameters:
     """Physical parameter vector of the identifiable load.
@@ -27,8 +38,8 @@ class LoadParameters:
     X, Xp are the open-circuit and transient reactances, Td0p the
     open-circuit transient time constant (s), Tj the motor acceleration
     time constant (s), s0 the equilibrium slip, (Exp0, Eyp0) the
-    equilibrium transient EMF, (Pz, Qz) the static constant-impedance part
-    and (V0, theta0) the operating voltage phasor.
+    equilibrium transient EMF and (V0, theta0) the operating voltage
+    phasor.
     """
 
     X: float
@@ -38,22 +49,12 @@ class LoadParameters:
     s0: float
     Exp0: float
     Eyp0: float
-    Pz: float = 0.0
-    Qz: float = 0.0
     V0: float = 1.0
     theta0: float = 0.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        if not (self.X > self.Xp > 0.0):
-            raise CaseValidationError(f"need X > Xp > 0, got X={self.X}, Xp={self.Xp}")
-        if self.Td0p <= 0 or self.Tj <= 0:
-            raise CaseValidationError("time constants must be positive")
-        if not (0.0 < self.s0 < 1.0):
-            raise CaseValidationError(f"slip must lie in (0, 1), got {self.s0}")
-        if self.V0 <= 0:
+        _check_constants(self.X, self.Xp, self.Td0p, self.Tj, self.s0)
+        if not self.V0 > 0.0:
             raise CaseValidationError("operating voltage must be positive")
 
 
@@ -70,6 +71,9 @@ class MotorSpec:
     Td0p: float
     Tj: float
     s0: float | None = None
+
+    def __post_init__(self):
+        _check_constants(self.X, self.Xp, self.Td0p, self.Tj, self.s0)
 
 
 def emf_steady_state(X, Xp, Td0p, s, v):

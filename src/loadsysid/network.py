@@ -65,9 +65,6 @@ class NetworkCase:
     loads: list[Load]
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise CaseValidationError("duplicate bus ids")

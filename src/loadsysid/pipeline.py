@@ -23,8 +23,7 @@ from loadsysid.diagnostics import (
 from loadsysid.config import parse_init
 from loadsysid.errors import ConfigError, ToolkitError, UnstablePredictorError
 from loadsysid.greybox import (
-    FREE_ALL,
-    FREE_DEFAULT,
+    FREE,
     NoiseConfig,
     _series_arrays,
     evaluate_candidate,
@@ -35,6 +34,10 @@ from loadsysid.series import detrend
 from loadsysid.sim import init_equilibrium, linearize_system, simulate
 
 METHODS = ("pem-a", "pem-b", "tm")
+
+# The parameters the reports list: the identified ones and the EMF pair
+# tied to them.
+REPORTED = FREE + ("Exp0", "Eyp0")
 
 # The held-out record shifts every noise seed by this much.
 VALIDATION_SEED_OFFSET = 7000
@@ -151,7 +154,7 @@ def make_init(cfg, truth, seed):
         frac = value / 100.0
         rng = np.random.default_rng(seed + 20000)
         vals = {}
-        for name in FREE_DEFAULT:
+        for name in FREE:
             vals[name] = getattr(truth, name) * (1.0 + frac * rng.uniform(-1, 1))
         if vals["Xp"] >= vals["X"]:
             vals["Xp"] = vals["X"] / 3.0
@@ -178,8 +181,7 @@ def run_identify(cfg, out_dir, series, system, method):
     win = detrend(series.window(*cfg.analysis_window))
     init = make_init(cfg, truth, cfg.seed)
     noise = _noise_for(cfg, method)
-    result = identify(win, init, noise=noise, free=cfg.ident_free,
-                      n_restarts=cfg.ident_restarts,
+    result = identify(win, init, noise=noise, n_restarts=cfg.ident_restarts,
                       burn_in=cfg.ident_burn_in, seed=cfg.seed,
                       maxiter=cfg.ident_maxiter, method=method)
 
@@ -205,7 +207,7 @@ def run_identify(cfg, out_dir, series, system, method):
               for s in result.starts]
     lines += ["parameters (true vs estimated):"]
     lines += [_param_line(n, getattr(truth, n), getattr(est, n))
-              for n in FREE_ALL]
+              for n in REPORTED]
     tio.write_report(out / f"ident_{method}.txt", lines)
     tio.write_table(
         out / f"trace_{method}.csv",
@@ -291,7 +293,7 @@ def run_reproduce(cfg, out_dir):
     truth = eq.params
     lines = ["reproduction summary", f"seed = {cfg.seed}", ""]
     lines.append("true parameters:")
-    lines += [f"  {n:6s} = {getattr(truth, n)!r}" for n in FREE_ALL]
+    lines += [f"  {n:6s} = {getattr(truth, n)!r}" for n in REPORTED]
     for method in METHODS:
         r = results[method]
         lines.append("")
@@ -302,7 +304,7 @@ def run_reproduce(cfg, out_dir):
                         if math.isinf(val[method]) else ""))
         lines += ["  " + _param_line(n, getattr(truth, n),
                                      getattr(r.params, n))
-                  for n in FREE_ALL]
+                  for n in REPORTED]
     pit = diag["pitfall"]
     lines += [
         "",

@@ -198,7 +198,7 @@ def init_equilibrium(case, pf, motor_spec):
     v_pf = pf.v_complex()
     v6 = v_pf[m]
     X, Xp, Td0p = motor_spec.X, motor_spec.Xp, motor_spec.Td0p
-    s0 = getattr(motor_spec, "s0", None)
+    s0 = motor_spec.s0
     if s0 is None:
         s0 = solve_slip_for_power(X, Xp, Td0p, motor.p, v6)
     p_m, q_m = motor_pq(X, Xp, Td0p, s0, v6)
@@ -278,8 +278,6 @@ def init_equilibrium(case, pf, motor_spec):
         s0=float(s0),
         Exp0=float(exy0.real),
         Eyp0=float(exy0.imag),
-        Pz=0.0,
-        Qz=0.0,
         V0=float(abs(v6_eq)),
         theta0=float(np.angle(v6_eq)),
     )

@@ -34,6 +34,7 @@ from loadsysid.errors import (
     UnstablePredictorError,
 )
 from loadsysid.greybox import (
+    FREE,
     _penalty_cause,
     _scaled_box,
     _series_arrays,
@@ -44,7 +45,7 @@ from loadsysid.motor import emf_steady_state
 from loadsysid.network import expand_real
 
 
-def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
+def identify_lbfgsb(series, init, noise, burn_in, maxiter, method):
     """One start of ``greybox.identify`` from the init, with the EMF pair
     tied, searched by L-BFGS-B in the scaled parameters with
     forward-difference gradients (scipy hands the points of each gradient
@@ -52,11 +53,11 @@ def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
     usable criterion scores 1e6.  Returns the lowest criterion scored."""
     u, y, operating_point = _series_arrays(series)
     init = replace(init, **operating_point)
-    scale, lo, hi = _scaled_box(init, free)
+    scale, lo, hi = _scaled_box(init)
     scored = []
 
     def make_params(x):
-        p = replace(init, **dict(zip(free, x * scale)))
+        p = replace(init, **dict(zip(FREE, x * scale)))
         e0 = emf_steady_state(p.X, p.Xp, p.Td0p, p.s0,
                               p.V0 * np.exp(1j * p.theta0))
         return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
@@ -78,7 +79,7 @@ def identify_lbfgsb(series, init, noise, free, burn_in, maxiter, method):
         scored.extend(values)
         return values
 
-    x0 = np.clip(np.ones(len(free)), lo, hi)
+    x0 = np.clip(np.ones(len(FREE)), lo, hi)
     minimize(lambda x: batch(None, [x])[0], x0, method="L-BFGS-B",
              bounds=list(zip(lo, hi)),
              options={"maxiter": maxiter, "eps": 1e-6, "ftol": 1e-14,

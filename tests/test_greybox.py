@@ -14,7 +14,7 @@ from loadsysid.errors import (
 from loadsysid.greybox import (
     BLOCK,
     FD_STEP,
-    FREE_DEFAULT,
+    FREE,
     NOISE_CHANNELS,
     PENALTY_CAUSES,
     GreyBoxContinuous,
@@ -73,17 +73,6 @@ def test_structural_entries_of_the_state_matrix():
     assert np.all(cont.c[:, 2] == 0.0)
 
 
-def test_static_part_enters_feedthrough_only():
-    base = assemble_continuous(_params(), NoiseConfig())
-    with_z = assemble_continuous(_params(Pz=0.4, Qz=0.1), NoiseConfig())
-    p = _params()
-    diff = with_z.d - base.d
-    expect = np.array([[2 * 0.4 / p.V0, 0.0], [2 * 0.1 / p.V0, 0.0]])
-    assert np.allclose(diff, expect, atol=1e-14)
-    for m1, m2 in ((base.a, with_z.a), (base.b, with_z.b), (base.c, with_z.c)):
-        assert np.array_equal(m1, m2)
-
-
 def test_noise_channel_patterns():
     p = _params()
     g = noise_channel_matrices(NoiseConfig(channel="torque"), p)
@@ -106,20 +95,19 @@ def test_noise_config_rejects_bad_variances_and_channels(kwargs, message):
 
 def test_assembly_against_symbolic_linearization():
     """Independent oracle: symbolic differentiation of the nonlinear motor
-    model plus the static part."""
+    model."""
     sympy = pytest.importorskip("sympy")
     sp = sympy
 
     X, Xp, Td0p, Tj, ws = sp.symbols("X Xp Td0p Tj ws", positive=True)
     ex, ey, s, v, th = sp.symbols("ex ey s v th", real=True)
-    pz, qz, v0 = sp.symbols("pz qz v0", positive=True)
     vx, vy = v * sp.cos(th), v * sp.sin(th)
     dex = (-X * ex + (X - Xp) * vx) / (Xp * Td0p) + s * ws * ey
     dey = (-X * ey + (X - Xp) * vy) / (Xp * Td0p) - s * ws * ex
     te = (ex * vy - ey * vx) / Xp
     ds = -te / Tj  # constant torque drops out of the jacobians
-    p_out = te + pz * (v / v0) ** 2
-    q_out = (v**2 - vx * ex - vy * ey) / Xp + qz * (v / v0) ** 2
+    p_out = te
+    q_out = (v**2 - vx * ex - vy * ey) / Xp
 
     states = (ex, ey, s)
     inputs = (v, th)
@@ -130,13 +118,11 @@ def test_assembly_against_symbolic_linearization():
     c_sym = g_vec.jacobian(states)
     d_sym = g_vec.jacobian(inputs)
 
-    for params in (_params(V0=1.0, theta0=0.0),
-                   _params(Pz=0.3, Qz=0.05)):
+    for params in (_params(V0=1.0, theta0=0.0), _params()):
         subs = {
             X: params.X, Xp: params.Xp, Td0p: params.Td0p, Tj: params.Tj,
             ws: OMEGA_S, ex: params.Exp0, ey: params.Eyp0, s: params.s0,
-            v: params.V0, th: params.theta0, pz: params.Pz, qz: params.Qz,
-            v0: params.V0,
+            v: params.V0, th: params.theta0,
         }
         cont = assemble_continuous(params, NoiseConfig())
         for sym, ours in ((a_sym, cont.a), (b_sym, cont.b),
@@ -585,8 +571,7 @@ def test_identify_is_a_fixed_point_on_noise_free_data():
     truth = _consistent_truth()
     win = _noise_free_series(truth)
     noise = NoiseConfig(q=0.0)
-    res = identify(win, truth, noise=noise, n_restarts=1, burn_in=0,
-                   free=("X", "Xp", "Td0p", "Tj", "s0"))
+    res = identify(win, truth, noise=noise, n_restarts=1, burn_in=0)
     assert res.quad_loss < 1e-12
     for name in ("X", "Xp", "Td0p", "Tj", "s0"):
         assert abs(getattr(res.params, name) / getattr(truth, name) - 1) < 1e-6
@@ -654,14 +639,6 @@ def test_identify_failure_reports_diagnostics():
                  burn_in=0)
     assert [s["status"] for s in err.value.diagnostics] == [
         "start point penalised (riccati)"] * 2
-
-
-def test_identify_rejects_zero_width_bounds():
-    # The default box of Pz = 0 is (0, 0).
-    truth = _params(Pz=0.0)
-    win = _noise_free_series(truth, seed=6)
-    with pytest.raises(ToolkitError, match=r"\['Pz'\] have zero-width"):
-        identify(win, truth, free=("X", "Pz"), n_restarts=2, burn_in=0)
 
 
 def test_identify_starts_from_the_init_clipped_into_the_box():
@@ -818,13 +795,13 @@ def test_stacked_jacobian_matches_central_differences(seed, output_error):
     u, y, _ = _series_arrays(win)
     noise = NoiseConfig(rm=1e-8)
     base = _retied(_random_params(np.random.default_rng(seed), truth))
-    scale = np.array([getattr(base, n) for n in FREE_DEFAULT])
-    eye = np.eye(len(FREE_DEFAULT))
+    scale = np.array([getattr(base, n) for n in FREE])
+    eye = np.eye(len(FREE))
     step = 1e-5
 
     def evaluate(xs):
         out = evaluate_candidates(
-            [_retied(replace(base, **dict(zip(FREE_DEFAULT, x * scale))))
+            [_retied(replace(base, **dict(zip(FREE, x * scale))))
              for x in xs], noise, u, y, win.ts, 20, output_error=output_error)
         if any(isinstance(r, Exception) for r in out):
             return None

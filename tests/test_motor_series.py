@@ -32,6 +32,9 @@ def test_parameter_invariants():
         _params(Td0p=-1.0)
     with pytest.raises(CaseValidationError):
         _params(V0=0.0)
+    for name in ("X", "Xp", "Td0p", "Tj", "s0", "V0"):
+        with pytest.raises(CaseValidationError):
+            _params(**{name: float("nan")})
 
 
 def test_steady_state_power_matches_current_formula():

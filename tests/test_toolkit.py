@@ -360,7 +360,7 @@ def test_identification_is_blas_thread_invariant():
         "from dataclasses import replace\n"
         "from loadsysid import pipeline\n"
         "from loadsysid.config import default_config_text, load_config\n"
-        "from loadsysid.greybox import FREE_DEFAULT, identify\n"
+        "from loadsysid.greybox import FREE, identify\n"
         "from loadsysid.series import detrend\n"
         "from loadsysid.sim import simulate\n"
         "cfg = load_config(default_config_text())\n"
@@ -371,7 +371,7 @@ def test_identification_is_blas_thread_invariant():
         "r = identify(win, pipeline.make_init(cfg, eq.params, 1),\n"
         "             noise=pipeline._noise_for(cfg, 'pem-a'), n_restarts=1,\n"
         "             maxiter=10)\n"
-        "print([getattr(r.params, n).hex() for n in FREE_DEFAULT],\n"
+        "print([getattr(r.params, n).hex() for n in FREE],\n"
         "      r.loss.hex(), r.meta['n_eval'])\n"
     )
     assert (_digest_at_threads(script, "1")
@@ -453,8 +453,8 @@ def test_search_reaches_the_lbfgsb_oracles_criterion(tmp_path, method):
         oracle = identify_lbfgsb(
             detrend(series.window(*cfg.analysis_window)),
             make_init(cfg, system[2].params, seed),
-            pipeline._noise_for(cfg, method), cfg.ident_free,
-            cfg.ident_burn_in, cfg.ident_maxiter, method)
+            pipeline._noise_for(cfg, method), cfg.ident_burn_in,
+            cfg.ident_maxiter, method)
         assert result.loss <= oracle + 1e-8 * abs(oracle)
 
 
@@ -481,13 +481,43 @@ def test_cli_rejects_seed_with_seed_range(tmp_path):
     assert not out.exists()
 
 
+def test_cli_rejects_a_negative_seed(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["reproduce", "--seed", "-1", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["ident.free = X,Xq",
+                                  "ident.free = X,Xp,Td0p,Tj,s0",
                                   "ident.init = explicit:1.0,0.2",
-                                  "ident.free = X,Xp,Td0p,Tj,s0,Pz",
+                                  "ident.init = perturbed:nan",
                                   "ident.restart = 1",
                                   "ident.q = -1",
+                                  "ident.maxiter = -1",
+                                  "ident.restarts = -3",
+                                  "ident.restarts = 0",
+                                  "seed = -1",
+                                  "scenario.ts = 0",
+                                  "scenario.dt_integration = 0",
+                                  "scenario.duration = inf",
+                                  "scenario.internal.variance = nan",
+                                  "scenario.external.variance = nan",
+                                  "scenario.external.direction_deg = nan",
+                                  "scenario.measurement.p = nan",
+                                  "scenario.internal.hold = nan",
                                   "scenario.internal.hold = 0.0007",
-                                  "scenario.external.start = soon"])
+                                  "scenario.external.start = soon",
+                                  "analysis.start = nan",
+                                  "diagnostics.band_high_hz = nan",
+                                  "diagnostics.segment = 0",
+                                  "diagnostics.segment = -64",
+                                  "diagnostics.info_segment = -1",
+                                  "diagnostics.pe_order_max = 0",
+                                  "diagnostics.pe_order_max = -5",
+                                  "diagnostics.pad_factor = 0",
+                                  "motor.X = nan",
+                                  "motor.Tj = -2"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(default_config_text() + "\n" + line + "\n")
@@ -571,11 +601,11 @@ def test_benchmark_trace_targets_exist():
     assert count > 2 and missing == []
 
 
-def test_benchmark_reproduce_workload_runs(tmp_path):
-    """One traced round of perfbench's reproduce workload passes its own
-    checks: the calls it makes into the package keep their signatures and
-    return shapes.  It runs on copies of src/ and perfbench/, so its
-    reports land under ``tmp_path``."""
+def _benchmark_round_passes(tmp_path, workload):
+    """One traced round of a perfbench workload passes its own checks: the
+    calls it makes into the package keep their signatures and return
+    shapes.  It runs on copies of src/ and perfbench/, so its reports land
+    under ``tmp_path``."""
     import shutil
 
     root = Path(__file__).resolve().parents[1]
@@ -583,12 +613,24 @@ def test_benchmark_reproduce_workload_runs(tmp_path):
     for d in ("src", "perfbench"):
         shutil.copytree(root / d, tmp_path / d, ignore=skip)
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "reproduce",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0.01", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, proc.stderr
+
+
+def test_benchmark_reproduce_workload_runs(tmp_path):
+    _benchmark_round_passes(tmp_path, "reproduce")
+
+
+@pytest.mark.parametrize("workload", ["simulate", "identify"])
+def test_benchmark_workload_runs(tmp_path, workload):
+    # simulate diagnoses through freq's load model; identify scores the
+    # truth through evaluate_candidate and _noise_for and reads the EMF pair
+    # for its recovery envelope.
+    _benchmark_round_passes(tmp_path, workload)
 
 
 # Public names that only tests call, each with the reason it stays.
