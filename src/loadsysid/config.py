@@ -12,9 +12,13 @@ from dataclasses import dataclass
 from importlib.resources import files as _pkg_files
 from pathlib import Path
 
+import numpy as np
+
+from loadsysid.diagnostics import in_band
 from loadsysid.errors import CaseValidationError, ConfigError
 from loadsysid.greybox import FREE
 from loadsysid.motor import MotorSpec
+from loadsysid.network import load_case
 from loadsysid.sim import ExternalNoise, NoiseWindow, Scenario
 
 # Seeds of the external-injection and sensor-noise streams, as offsets from
@@ -149,6 +153,9 @@ def load_config(text, base_dir=None, seed_override=None):
         bus=_get(values, "scenario.external.bus", int, required=active),
         direction_deg=_get(values, "scenario.external.direction_deg",
                            float, 0.0, low=-math.inf))
+    if active and external["bus"] not in load_case(case_text).bus_index():
+        raise ConfigError(f"scenario.external.bus {external['bus']} is not "
+                          "a bus of the case")
     external = ExternalNoise(**external) if active else None
     mvar = tuple(
         _get(values, f"scenario.measurement.{c}", float, 0.0, low=0.0)
@@ -172,13 +179,19 @@ def load_config(text, base_dir=None, seed_override=None):
             f"diagnostic band edge {band[1]} Hz exceeds the Nyquist "
             f"frequency {0.5 / ts} Hz"
         )
+    info_segment = _get(values, "diagnostics.info_segment", int, 32, low=1)
+    if band[0] > band[1] or not in_band(
+            2.0 * math.pi * np.fft.rfftfreq(info_segment, d=ts), *band).any():
+        raise ConfigError(
+            f"diagnostic band {band[0]}..{band[1]} Hz holds no bin of the "
+            f"{info_segment}-sample informativeness spectrum")
     try:
         motor = MotorSpec(
             X=_get(values, "motor.X", float, required=True),
             Xp=_get(values, "motor.Xp", float, required=True),
             Td0p=_get(values, "motor.Td0p", float, required=True),
             Tj=_get(values, "motor.Tj", float, required=True),
-            s0=_get(values, "motor.s0", float, None),
+            s0=_get(values, "motor.s0", float, required=True),
         )
     except CaseValidationError as exc:
         raise ConfigError(f"motor: {exc}") from exc
@@ -187,6 +200,10 @@ def load_config(text, base_dir=None, seed_override=None):
              internal.start if internal else 0.0, low=0.0),
         _get(values, "analysis.end", float, duration, low=0.0),
     )
+    if not window[0] < min(window[1], duration):
+        raise ConfigError(
+            f"analysis window {window[0]}..{window[1]} s selects no data of "
+            f"the {duration} s record")
     init_mode = _get(values, "ident.init", str, "perturbed:30")
     parse_init(init_mode)
     cfg = ExperimentConfig(
@@ -196,7 +213,7 @@ def load_config(text, base_dir=None, seed_override=None):
         motor=motor,
         band_hz=band,
         segment=_get(values, "diagnostics.segment", int, 64, low=1),
-        info_segment=_get(values, "diagnostics.info_segment", int, 32, low=1),
+        info_segment=info_segment,
         pe_order_max=_get(values, "diagnostics.pe_order_max", int, 60, low=1),
         pad_factor=_get(values, "diagnostics.pad_factor", int, 4, low=1),
         ident_init=init_mode,

@@ -36,9 +36,14 @@ class SpectrumEstimate:
             np.transpose(self.matrices, (0, 2, 1))))))
 
     def band(self, f_lo, f_hi):
-        mask = (self.omega >= 2 * math.pi * f_lo - 1e-12) & (
-            self.omega <= 2 * math.pi * f_hi + 1e-12)
+        mask = in_band(self.omega, f_lo, f_hi)
         return self.omega[mask], self.matrices[mask]
+
+
+def in_band(omega, f_lo, f_hi):
+    """Mask of the angular frequencies ``omega`` within [f_lo, f_hi] Hz."""
+    return (omega >= 2 * math.pi * f_lo - 1e-12) & (
+        omega <= 2 * math.pi * f_hi + 1e-12)
 
 
 def estimate_spectrum(signals, ts, segment_len=256):
@@ -218,36 +223,36 @@ def rect_deltas(series):
     return out - out.mean(axis=0)
 
 
-def filtered_current(resp_eval, v_rect, ts, pad_factor=4):
-    """Response-filtered voltage record via zero-padded convolution.
+def filtered_currents(resp_evals, v_rect, ts, pad_factor):
+    """Voltage record filtered through each response of ``resp_evals``, by
+    zero-padded convolution from one transform of the voltages.
 
-    ``resp_eval`` maps an angular-frequency grid to (n, 2, 2) response
-    values; it is evaluated exactly on the padded FFT grid, which keeps the
-    sharp network resonances resolved.  Zero padding realizes plain (not
-    circular) convolution, valid because the record starts at rest; the
-    floor ``MIN_PAD_SECONDS`` on the pad length keeps slow-mode tails from
+    Each response maps an angular-frequency grid to (n, 2, 2) values; it is
+    evaluated exactly on the padded FFT grid, which keeps the sharp network
+    resonances resolved.  Zero padding realizes plain (not circular)
+    convolution, valid because the record starts at rest; the floor
+    ``MIN_PAD_SECONDS`` on the pad length keeps slow-mode tails from
     wrapping into short records.
     """
     n = len(v_rect)
     n_pad = max(pad_factor * n, int(round(MIN_PAD_SECONDS / ts)))
     omega = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=ts)
     omega_eval = np.where(omega <= 0.0, 1e-9, omega)
-    values = resp_eval(omega_eval)
     vf = np.fft.rfft(v_rect, n=n_pad, axis=0)
-    pred = np.fft.irfft(np.einsum("fij,fj->fi", values, vf), n=n_pad, axis=0)
-    return pred[:n]
+    return [np.fft.irfft(np.einsum("fij,fj->fi", resp(omega_eval), vf),
+                         n=n_pad, axis=0)[:n] for resp in resp_evals]
 
 
-def _coherence_weighted_nrmse(i_meas, i_pred, ts, segment_len):
-    spec = estimate_spectrum(np.column_stack([i_meas, i_pred]), ts,
-                             segment_len=segment_len)
+def _coherence_weighted_nrmse(mats, pred):
+    """NRMSE of the current channels 2:4 of the spectrum ``mats`` against
+    the prediction channels ``pred:pred + 2``, weighted per bin by their
+    coherence."""
     num = den = 0.0
-    for b in range(1, len(spec.omega)):
-        m = spec.matrices[b]
+    for m in mats[1:]:
         for ch in range(2):
-            pii = float(np.real(m[ch, ch]))
-            ppp = float(np.real(m[2 + ch, 2 + ch]))
-            pip = m[ch, 2 + ch]
+            pii = float(np.real(m[2 + ch, 2 + ch]))
+            ppp = float(np.real(m[pred + ch, pred + ch]))
+            pip = m[2 + ch, pred + ch]
             coh = abs(pip) ** 2 / (pii * ppp) if pii * ppp > 0 else 0.0
             resid = max(float(np.real(pii - pip - np.conj(pip) + ppp)), 0.0)
             num += coh * resid
@@ -277,14 +282,17 @@ def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4):
     def g_eval(omega):
         return load_frf(eq.params, omega).values
 
-    i_net = filtered_current(k_eval, v_rect, series.ts, pad_factor)
-    i_load = filtered_current(g_eval, v_rect, series.ts, pad_factor)
-    cw_k = _coherence_weighted_nrmse(i_rect, i_net, series.ts, segment_len)
-    cw_g = _coherence_weighted_nrmse(i_rect, i_load, series.ts, segment_len)
+    i_net, i_load = filtered_currents((k_eval, g_eval), v_rect, series.ts,
+                                      pad_factor)
+    # One estimate of the channels (v, i, i_network, i_load) serves both
+    # NRMSEs and the per-bin comparison.
+    spec = estimate_spectrum(np.column_stack([d, i_net, i_load]), series.ts,
+                             segment_len=segment_len)
+    cw_k = _coherence_weighted_nrmse(spec.matrices, 4)
+    cw_g = _coherence_weighted_nrmse(spec.matrices, 6)
 
     # Directional comparison per Welch bin, with both candidate responses
     # evaluated exactly at the bin frequencies.
-    spec = estimate_spectrum(d, series.ts, segment_len=segment_len)
     keep = (spec.omega > 0) & (spec.omega <= math.pi / series.ts)
     omega = spec.omega[keep]
     mats = spec.matrices[keep]
@@ -295,8 +303,8 @@ def pitfall_metrics(series, case, eq, segment_len=128, pad_factor=4):
     dist_g = np.empty(len(omega))
     for b in range(len(omega)):
         phi_vv = mats[b][:2, :2]
-        phi_iv = mats[b][2:, :2]
-        phi_ii = mats[b][2:, 2:]
+        phi_iv = mats[b][2:4, :2]
+        phi_ii = mats[b][2:4, 2:4]
         ev, vec = np.linalg.eigh(phi_vv)
         vdir = vec[:, -1]
         s_pow = float(np.real(np.conj(vdir) @ phi_vv @ vdir))

@@ -27,12 +27,12 @@ from loadsysid.errors import (
     ToolkitError,
     UnstablePredictorError,
 )
-from loadsysid.motor import LoadParameters, emf_steady_state
+from loadsysid.motor import LoadParameters
 
-# The free parameters.  The equilibrium EMF pair is tied to the motor
-# steady-state relation at (X, Xp, Td0p, s0, V0, theta0); untied, it would
-# open a flat escape direction in which the optimizer shrinks the
-# deterministic path and inflates the noise gain.
+# The free parameters.  ``LoadParameters`` derives the equilibrium EMF pair
+# from them and the operating point; untied, the pair would open a flat
+# escape direction in which the optimizer shrinks the deterministic path
+# and inflates the noise gain.
 FREE = ("X", "Xp", "Td0p", "Tj", "s0")
 
 NOISE_CHANNELS = ("torque", "emf-wrong")
@@ -558,11 +558,15 @@ def evaluate_candidates(params_list, noise, u, y, ts, burn_in,
     rate for the innovation predictor and the plain quadratic loss for the
     output-error baseline, which has no stochastic model.  A candidate
     whose predictions overflow gets a non-finite criterion, without a
-    floating-point warning.
+    floating-point warning.  A ``CaseValidationError`` in ``params_list``
+    (a candidate that is no valid ``LoadParameters``) is its own result.
     """
     out = [None] * len(params_list)
     conts, index = [], []
     for i, params in enumerate(params_list):
+        if isinstance(params, CaseValidationError):
+            out[i] = params
+            continue
         try:
             conts.append(assemble_continuous(params, noise))
             index.append(i)
@@ -798,13 +802,6 @@ def identify(series, init, noise=None, n_restarts=2, burn_in=50, seed=0,
 
     scale, lo, hi = _scaled_box(init)
 
-    def make_params(x):
-        p = replace(init, **dict(zip(FREE, x * scale)))
-        e0 = emf_steady_state(
-            p.X, p.Xp, p.Td0p, p.s0, p.V0 * np.exp(1j * p.theta0)
-        )
-        return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
-
     n_eval = 0
     penalties = dict.fromkeys(PENALTY_CAUSES, 0)
     # Per start: (criterion, x, params, quadratic loss, predictions) of its
@@ -819,15 +816,13 @@ def identify(series, init, noise=None, n_restarts=2, burn_in=50, seed=0,
         params = []
         for x in xs:
             try:
-                params.append(make_params(x))
+                params.append(replace(init, **dict(zip(FREE, x * scale))))
             except CaseValidationError as exc:
                 params.append(exc)
-        results = iter(evaluate_candidates(
-            [p for p in params if not isinstance(p, Exception)], noise, u, y,
-            ts, burn_in, output_error=output_error))
+        results = evaluate_candidates(params, noise, u, y, ts, burn_in,
+                                      output_error=output_error)
         out = []
-        for x, p in zip(xs, params):
-            result = p if isinstance(p, Exception) else next(results)
+        for x, p, result in zip(xs, params, results):
             cause = _penalty_cause(result)
             if cause is not None:
                 penalties[cause] += 1

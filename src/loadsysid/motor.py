@@ -13,21 +13,23 @@ with time in seconds and all electrical quantities per-unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from loadsysid.constants import OMEGA_S
-from loadsysid.errors import CaseValidationError, EquilibriumError
+from loadsysid.errors import CaseValidationError
 
 
 def _check_constants(X, Xp, Td0p, Tj, s0):
     """Reject motor constants outside the model's domain; each check is
-    written so that NaN fails it.  ``s0`` None leaves the slip unchecked."""
+    written so that NaN fails it."""
     if not X > Xp > 0.0:
         raise CaseValidationError(f"need X > Xp > 0, got X={X}, Xp={Xp}")
     if not (Td0p > 0.0 and Tj > 0.0):
         raise CaseValidationError(
             f"time constants must be positive, got Td0p={Td0p}, Tj={Tj}")
-    if s0 is not None and not 0.0 < s0 < 1.0:
+    if not 0.0 < s0 < 1.0:
         raise CaseValidationError(f"slip must lie in (0, 1), got {s0}")
 
 
@@ -37,9 +39,10 @@ class LoadParameters:
 
     X, Xp are the open-circuit and transient reactances, Td0p the
     open-circuit transient time constant (s), Tj the motor acceleration
-    time constant (s), s0 the equilibrium slip, (Exp0, Eyp0) the
-    equilibrium transient EMF and (V0, theta0) the operating voltage
-    phasor.
+    time constant (s), s0 the equilibrium slip and (V0, theta0) the
+    operating voltage phasor.  The equilibrium transient EMF (Exp0, Eyp0)
+    is not a parameter: it is derived from the others, so ``replace`` with
+    a new operating point reties it.
     """
 
     X: float
@@ -47,30 +50,31 @@ class LoadParameters:
     Td0p: float
     Tj: float
     s0: float
-    Exp0: float
-    Eyp0: float
     V0: float = 1.0
     theta0: float = 0.0
+    Exp0: float = field(init=False)
+    Eyp0: float = field(init=False)
 
     def __post_init__(self):
         _check_constants(self.X, self.Xp, self.Td0p, self.Tj, self.s0)
         if not self.V0 > 0.0:
             raise CaseValidationError("operating voltage must be positive")
+        e0 = emf_steady_state(self.X, self.Xp, self.Td0p, self.s0,
+                              self.V0 * np.exp(1j * self.theta0))
+        object.__setattr__(self, "Exp0", float(e0.real))
+        object.__setattr__(self, "Eyp0", float(e0.imag))
 
 
 @dataclass(frozen=True)
 class MotorSpec:
-    """Partial parameter set used to initialize the equilibrium.
-
-    With ``s0`` given, the motor runs at that slip; when ``s0`` is None the
-    slip is solved from the scheduled active power of the motor bus.
-    """
+    """Motor constants and the slip at which the motor runs at the
+    equilibrium."""
 
     X: float
     Xp: float
     Td0p: float
     Tj: float
-    s0: float | None = None
+    s0: float
 
     def __post_init__(self):
         _check_constants(self.X, self.Xp, self.Td0p, self.Tj, self.s0)
@@ -89,33 +93,3 @@ def motor_pq(X, Xp, Td0p, s, v):
     p = vm2 * alpha * (X - Xp) / den
     q = vm2 * (X + alpha**2 * Xp) / den
     return p, q
-
-
-def peak_power_slip(X, Xp, Td0p):
-    """Slip of maximum steady-state active power (stability boundary)."""
-    return X / (Xp * OMEGA_S * Td0p)
-
-
-def solve_slip_for_power(X, Xp, Td0p, p_target, v):
-    """Stable-branch slip at which the motor draws p_target.
-
-    Raises EquilibriumError when no slip in (0, peak) carries the load.
-    """
-    if p_target <= 0.0:
-        raise EquilibriumError(
-            f"motor cannot carry non-positive active power {p_target}"
-        )
-    s_peak = min(peak_power_slip(X, Xp, Td0p), 1.0 - 1e-9)
-    p_peak, _ = motor_pq(X, Xp, Td0p, s_peak, v)
-    if p_target >= p_peak:
-        raise EquilibriumError(
-            f"scheduled power {p_target:.4f} exceeds motor peak {p_peak:.4f}"
-        )
-    from scipy.optimize import brentq  # kept off the start-up path
-    return brentq(
-        lambda s: motor_pq(X, Xp, Td0p, s, v)[0] - p_target,
-        1e-12,
-        s_peak,
-        xtol=1e-14,
-        rtol=1e-15,
-    )

@@ -68,8 +68,8 @@ def run_simulate(cfg, out_dir, system=None):
     lines = [
         "equilibrium summary",
         f"slip            = {eq.params.s0!r}",
-        f"emf_x           = {eq.params.Exp0!r}",
-        f"emf_y           = {eq.params.Eyp0!r}",
+        f"emf_x           = {float(eq.exy0.real)!r}",
+        f"emf_y           = {float(eq.exy0.imag)!r}",
         f"torque          = {eq.tm!r}",
         f"v0              = {eq.params.V0!r}",
         f"theta0          = {eq.params.theta0!r}",
@@ -246,8 +246,9 @@ def validation_record(cfg, system):
 
 def validation_loss(cfg, system, result, method, record):
     """Quadratic prediction loss of a fitted model on the held-out
-    ``record``, or ``math.inf`` if its predictor is unstable there.
-    ``system`` is unused; it keeps ``method`` fourth, as perfbench reads it."""
+    ``record``, at that record's own operating point and the EMF pair tied
+    to it, or ``math.inf`` if its predictor is unstable there.  ``system``
+    is unused; it keeps ``method`` fourth, as perfbench reads it."""
     u, y, operating_point = _series_arrays(record)
     params = replace(result.params, **operating_point)
     noise = _noise_for(cfg, method)

@@ -28,11 +28,7 @@ from loadsysid.constants import OMEGA_S
 from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
 from loadsysid.greybox import (BLOCK, lti_operator, propagate,
                                propagate_from, van_loan)
-from loadsysid.motor import (
-    LoadParameters,
-    motor_pq,
-    solve_slip_for_power,
-)
+from loadsysid.motor import LoadParameters, motor_pq
 from loadsysid.network import build_admittance
 from loadsysid.series import MeasurementSeries
 
@@ -179,12 +175,10 @@ class SystemEquilibrium:
 def init_equilibrium(case, pf, motor_spec):
     """Construct the exact equilibrium of the dynamic model.
 
-    When ``motor_spec`` carries a slip, the motor runs at that slip and the
-    static remainder at its bus absorbs the difference to the scheduled
-    power; otherwise the slip is solved so the motor carries the full
-    scheduled active power.  Either way the mechanical torques are balanced
-    against the self-consistently solved network voltages, so the state
-    derivatives vanish to machine precision.
+    The motor runs at the slip of ``motor_spec`` and the static remainder
+    at its bus absorbs the difference to the scheduled power.  The
+    mechanical torques are balanced against the self-consistently solved
+    network voltages, so the state derivatives vanish to machine precision.
     """
     idx = case.bus_index()
     motors = case.motor_loads()
@@ -197,10 +191,8 @@ def init_equilibrium(case, pf, motor_spec):
 
     v_pf = pf.v_complex()
     v6 = v_pf[m]
-    X, Xp, Td0p = motor_spec.X, motor_spec.Xp, motor_spec.Td0p
-    s0 = motor_spec.s0
-    if s0 is None:
-        s0 = solve_slip_for_power(X, Xp, Td0p, motor.p, v6)
+    X, Xp, Td0p, s0 = (motor_spec.X, motor_spec.Xp, motor_spec.Td0p,
+                       motor_spec.s0)
     p_m, q_m = motor_pq(X, Xp, Td0p, s0, v6)
 
     # Static remainder keeps the power-flow bus power consistent with the
@@ -276,8 +268,6 @@ def init_equilibrium(case, pf, motor_spec):
         Td0p=Td0p,
         Tj=motor_spec.Tj,
         s0=float(s0),
-        Exp0=float(exy0.real),
-        Eyp0=float(exy0.imag),
         V0=float(abs(v6_eq)),
         theta0=float(np.angle(v6_eq)),
     )

@@ -41,41 +41,30 @@ from loadsysid.greybox import (
     evaluate_candidates,
     van_loan,
 )
-from loadsysid.motor import emf_steady_state
 from loadsysid.network import expand_real
 
 
 def identify_lbfgsb(series, init, noise, burn_in, maxiter, method):
-    """One start of ``greybox.identify`` from the init, with the EMF pair
-    tied, searched by L-BFGS-B in the scaled parameters with
-    forward-difference gradients (scipy hands the points of each gradient
-    to ``workers``, which scores them as one stack).  A candidate without a
-    usable criterion scores 1e6.  Returns the lowest criterion scored."""
+    """One start of ``greybox.identify`` from the init, searched by
+    L-BFGS-B in the scaled parameters with forward-difference gradients
+    (scipy hands the points of each gradient to ``workers``, which scores
+    them as one stack).  A candidate without a usable criterion scores 1e6.
+    Returns the lowest criterion scored."""
     u, y, operating_point = _series_arrays(series)
     init = replace(init, **operating_point)
     scale, lo, hi = _scaled_box(init)
     scored = []
 
-    def make_params(x):
-        p = replace(init, **dict(zip(FREE, x * scale)))
-        e0 = emf_steady_state(p.X, p.Xp, p.Td0p, p.s0,
-                              p.V0 * np.exp(1j * p.theta0))
-        return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
-
     def batch(fun, xs):
         params = []
         for x in xs:
             try:
-                params.append(make_params(x))
+                params.append(replace(init, **dict(zip(FREE, x * scale))))
             except CaseValidationError as exc:
                 params.append(exc)
-        results = iter(evaluate_candidates(
-            [p for p in params if not isinstance(p, Exception)], noise, u, y,
-            series.ts, burn_in, output_error=method == "tm"))
-        values = []
-        for p in params:
-            result = p if isinstance(p, Exception) else next(results)
-            values.append(1e6 if _penalty_cause(result) else result[0])
+        results = evaluate_candidates(params, noise, u, y, series.ts,
+                                      burn_in, output_error=method == "tm")
+        values = [1e6 if _penalty_cause(r) else r[0] for r in results]
         scored.extend(values)
         return values
 

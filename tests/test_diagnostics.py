@@ -85,6 +85,28 @@ def test_spectra_hermitian_psd(seed):
         assert np.all(np.abs(np.imag(np.diag(m))) < 1e-15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       c=st.integers(min_value=2, max_value=8),
+       segment_len=st.sampled_from([16, 31, 64, 128]),
+       data=st.data())
+def test_sub_blocks_equal_the_separate_estimate(seed, c, segment_len, data):
+    """Every sub-block of two or more channels of a multi-channel estimate
+    is the estimate of those channels alone, bit for bit.  (A single
+    channel is not: numpy sums an (L, 1) segment for its mean pairwise, and
+    wider segments row by row.)"""
+    idx = sorted(data.draw(st.sets(st.integers(0, c - 1), min_size=2)))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 * segment_len, 8 * segment_len))
+    x = rng.standard_normal((n, c)) * rng.uniform(0.01, 10.0, c) + rng.normal(
+        size=c)
+    full = estimate_spectrum(x, 0.01, segment_len=segment_len)
+    alone = estimate_spectrum(np.column_stack([x[:, j] for j in idx]), 0.01,
+                              segment_len=segment_len)
+    assert np.array_equal(full.omega, alone.omega)
+    assert np.array_equal(full.matrices[:, idx][:, :, idx], alone.matrices)
+
+
 def test_informativeness_copied_channel_fails():
     rng = np.random.default_rng(3)
     u = rng.standard_normal((4000, 1))

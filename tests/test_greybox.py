@@ -51,7 +51,7 @@ from loops import (
 
 def _params(**kw):
     base = dict(X=3.679, Xp=0.296, Td0p=0.576, Tj=2.0, s0=0.01,
-                Exp0=0.9014, Eyp0=-0.1911, V0=1.01265, theta0=-0.06436)
+                V0=1.01265, theta0=-0.06436)
     base.update(kw)
     return LoadParameters(**base)
 
@@ -527,16 +527,6 @@ def test_fit_percent_perfect_and_mean():
 
 # ----------------------------------------------------------- identification
 
-def _consistent_truth(**kw):
-    """Truth whose EMF pair satisfies the steady-state relation exactly."""
-    from loadsysid.motor import emf_steady_state
-
-    p = _params(**kw)
-    e0 = emf_steady_state(p.X, p.Xp, p.Td0p, p.s0,
-                          p.V0 * np.exp(1j * p.theta0))
-    return replace(p, Exp0=float(e0.real), Eyp0=float(e0.imag))
-
-
 def _noise_free_series(params, n=400, seed=3):
     """Deterministic record generated by the identification model itself:
     exactly detrended deltas around the true operating point, first-order
@@ -568,7 +558,7 @@ def _noise_free_series(params, n=400, seed=3):
 
 
 def test_identify_is_a_fixed_point_on_noise_free_data():
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth)
     noise = NoiseConfig(q=0.0)
     res = identify(win, truth, noise=noise, n_restarts=1, burn_in=0)
@@ -617,7 +607,7 @@ def test_identify_recovers_the_truth_from_a_perturbed_init(seed):
     init converges on the truth in at most 20 iterations."""
     from conftest import perturbed_init
 
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, seed=seed)
     res = identify(win, perturbed_init(truth, seed),
                    noise=NoiseConfig(q=0.0), n_restarts=1,
@@ -644,13 +634,13 @@ def test_identify_failure_reports_diagnostics():
 def test_identify_starts_from_the_init_clipped_into_the_box():
     """s0 = 0.6 lies above its box (1e-4, 0.5): the search starts at
     s0 = 0.5, and ``initial_loss`` is the criterion there."""
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, s0=0.6)
     res = identify(win, init, n_restarts=1, burn_in=0, maxiter=5)
 
     def criterion(s0):
-        return evaluate_candidate(_retied(replace(init, s0=s0)), NoiseConfig(),
+        return evaluate_candidate(replace(init, s0=s0), NoiseConfig(),
                                   *_series_arrays(win)[:2], win.ts, 0)[0]
 
     assert res.initial_loss == pytest.approx(criterion(0.5), rel=1e-9)
@@ -690,15 +680,6 @@ def test_gradient_step_size_robustness():
     assert np.linalg.norm(g1 - g2) <= 0.01 * np.linalg.norm(g1)
 
 
-def _retied(params):
-    """``params`` with the EMF pair on its steady-state relation."""
-    from loadsysid.motor import emf_steady_state
-
-    e0 = emf_steady_state(params.X, params.Xp, params.Td0p, params.s0,
-                          params.V0 * np.exp(1j * params.theta0))
-    return replace(params, Exp0=float(e0.real), Eyp0=float(e0.imag))
-
-
 def test_candidate_stack_matches_scalar_evaluation():
     """One stack holding a valid candidate, one whose model has NaN
     entries, one whose pem-b predictor is unstable (radius 1.00008) and
@@ -707,18 +688,17 @@ def test_candidate_stack_matches_scalar_evaluation():
     evaluation's value or failure type, without a floating-point warning."""
     import warnings
 
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, n=2000, seed=3)
     u = np.column_stack([win.delta("v"), win.delta("theta")])
     y = np.column_stack([win.delta("p"), win.delta("q")])
     nan_model = replace(truth)
     object.__setattr__(nan_model, "Tj", np.nan)  # past the validation
     cands = [
-        _retied(replace(truth, X=1.1 * truth.X, Tj=0.9 * truth.Tj)),
+        replace(truth, X=1.1 * truth.X, Tj=0.9 * truth.Tj),
         nan_model,
         replace(truth, X=10.826, Td0p=0.133, Tj=7.817, s0=0.049, Xp=0.897),
-        _retied(replace(truth, X=0.623, Xp=0.0345, Td0p=3.405, Tj=0.284,
-                        s0=0.0674)),
+        replace(truth, X=0.623, Xp=0.0345, Td0p=3.405, Tj=0.284, s0=0.0674),
     ]
     noise = NoiseConfig(channel="emf-wrong", rm=1e-8,
                         input_variance=(1e-9, 1e-9))
@@ -754,7 +734,7 @@ def test_batched_gradient_matches_serial_differences():
     backwards."""
     from scipy.optimize._numdiff import approx_derivative
 
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, seed=5)
     u = np.column_stack([win.delta("v"), win.delta("theta")])
     y = np.column_stack([win.delta("p"), win.delta("q")])
@@ -763,7 +743,7 @@ def test_batched_gradient_matches_serial_differences():
     scale = np.array([getattr(truth, n) for n in names])
 
     def params(x):
-        return _retied(replace(truth, **dict(zip(names, x * scale))))
+        return replace(truth, **dict(zip(names, x * scale)))
 
     def f(x):
         return evaluate_candidate(params(x), noise, u, y, win.ts, 20)[0]
@@ -790,18 +770,18 @@ def test_stacked_jacobian_matches_central_differences(seed, output_error):
     x + h/2 e_j.  The gradient's chain rule, fed central differences at x,
     gives the central difference of the criterion there.  Deviations are
     normwise relative."""
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, seed=3)
     u, y, _ = _series_arrays(win)
     noise = NoiseConfig(rm=1e-8)
-    base = _retied(_random_params(np.random.default_rng(seed), truth))
+    base = _random_params(np.random.default_rng(seed), truth)
     scale = np.array([getattr(base, n) for n in FREE])
     eye = np.eye(len(FREE))
     step = 1e-5
 
     def evaluate(xs):
         out = evaluate_candidates(
-            [_retied(replace(base, **dict(zip(FREE, x * scale))))
+            [replace(base, **dict(zip(FREE, x * scale)))
              for x in xs], noise, u, y, win.ts, 20, output_error=output_error)
         if any(isinstance(r, Exception) for r in out):
             return None
@@ -842,14 +822,16 @@ def test_stacked_jacobian_matches_central_differences(seed, output_error):
 
 def _recording_chains(monkeypatch):
     """Sizes of the ``evaluate_candidates`` stacks that ``identify`` scores
-    from now on; scoring one candidate outside them fails."""
+    from now on, without the candidates that failed validation and are
+    handed over as their error; scoring one candidate outside them
+    fails."""
     import loadsysid.greybox as greybox
 
     sizes = []
     score = greybox.evaluate_candidates
 
     def recording(params_list, *args, **kwargs):
-        sizes.append(len(params_list))
+        sizes.append(sum(not isinstance(p, Exception) for p in params_list))
         return score(params_list, *args, **kwargs)
 
     def rescoring(*args, **kwargs):
@@ -884,7 +866,7 @@ def test_penalised_difference_point_steps_backwards(monkeypatch):
     fails validation: that coordinate's backward point is scored in one
     extra chain, and the start proceeds."""
     sizes = _recording_chains(monkeypatch)
-    truth = _consistent_truth()
+    truth = _params()
     win = _noise_free_series(truth, seed=5)
     init = replace(truth, Xp=truth.X * (1 - 1e-7))
     res = identify(win, init, n_restarts=1, burn_in=0, maxiter=3)

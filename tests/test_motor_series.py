@@ -1,21 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadsysid.errors import CaseValidationError, EquilibriumError, ToolkitError
-from loadsysid.motor import (
-    LoadParameters,
-    emf_steady_state,
-    motor_pq,
-    solve_slip_for_power,
-)
+from loadsysid.errors import CaseValidationError, ToolkitError
+from loadsysid.motor import LoadParameters, emf_steady_state, motor_pq
 from loadsysid.series import MeasurementSeries, detrend
 
 
 def _params(**kw):
-    base = dict(X=3.679, Xp=0.296, Td0p=0.576, Tj=2.0, s0=0.01,
-                Exp0=0.9, Eyp0=-0.19)
+    base = dict(X=3.679, Xp=0.296, Td0p=0.576, Tj=2.0, s0=0.01)
     base.update(kw)
     return LoadParameters(**base)
 
@@ -50,20 +46,26 @@ def test_steady_state_power_matches_current_formula():
     assert abs((e.real * v.imag - e.imag * v.real) / 0.296 - p) < 1e-12
 
 
-def test_solve_slip_roundtrip():
-    v = 1.0127 * np.exp(-0.064j)
-    s = solve_slip_for_power(3.679, 0.296, 0.576, 0.9, v)
-    p, _ = motor_pq(3.679, 0.296, 0.576, s, v)
-    assert abs(p - 0.9) < 1e-10
-    assert 0 < s < 1
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.5, 10.0), xp_ratio=st.floats(0.01, 0.9),
+       td0p=st.floats(0.01, 10.0), tj=st.floats(0.01, 10.0),
+       s0=st.floats(1e-4, 0.5), v0=st.floats(0.5, 1.5),
+       theta0=st.floats(-3.0, 3.0), v1=st.floats(0.5, 1.5),
+       theta1=st.floats(-3.0, 3.0))
+def test_emf_pair_is_the_steady_state_of_the_operating_point(
+        x, xp_ratio, td0p, tj, s0, v0, theta0, v1, theta1):
+    def expected(p):
+        e0 = emf_steady_state(p.X, p.Xp, p.Td0p, p.s0,
+                              p.V0 * np.exp(1j * p.theta0))
+        return float(e0.real), float(e0.imag)
 
-
-def test_slip_solve_infeasible_cases():
-    v = 1.0 + 0j
-    with pytest.raises(EquilibriumError):
-        solve_slip_for_power(3.679, 0.296, 0.576, 0.0, v)
-    with pytest.raises(EquilibriumError):
-        solve_slip_for_power(3.679, 0.296, 0.576, 50.0, v)
+    p = LoadParameters(X=x, Xp=xp_ratio * x, Td0p=td0p, Tj=tj, s0=s0,
+                       V0=v0, theta0=theta0)
+    assert (p.Exp0, p.Eyp0) == expected(p)
+    moved = replace(p, V0=v1, theta0=theta1)
+    assert (moved.Exp0, moved.Eyp0) == expected(moved)
+    with pytest.raises(TypeError):
+        _params(Exp0=p.Exp0)
 
 
 def _series(n=100, ts=0.01, offset=0.0):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from loadsysid.config import default_config_text, load_config
 from loadsysid.errors import EquilibriumError, SimulationError, ToolkitError
-from loadsysid.motor import MotorSpec, motor_pq
 from loadsysid.network import load_case, solve_power_flow
 from loadsysid.pipeline import build_system
 from loadsysid.series import detrend
@@ -90,16 +89,6 @@ def test_zero_scheduled_load_is_infeasible(wscc_case, wscc_pf):
     pf = solve_power_flow(case)
     with pytest.raises(EquilibriumError):
         init_equilibrium(case, pf, TRUE_MOTOR)
-
-
-def test_solved_slip_mode_carries_scheduled_power(wscc_case, wscc_pf):
-    spec = MotorSpec(X=3.679, Xp=0.296, Td0p=0.576, Tj=2.0, s0=None)
-    eq = init_equilibrium(wscc_case, wscc_pf, spec)
-    idx = wscc_case.bus_index()
-    v6 = wscc_pf.v_complex()[idx[6]]
-    p, _ = motor_pq(3.679, 0.296, 0.576, eq.params.s0, v6)
-    assert abs(p - 0.9) < 1e-8
-    assert abs(eq.remainder_shunt.real) < 1e-6  # static part carries ~no P
 
 
 def test_zero_noise_hold(wscc_case, wscc_eq):

@@ -393,9 +393,9 @@ def test_cli_pins_blas_threads_unless_set():
 
 
 def test_reproduce_leaves_scipy_optimize_unloaded(tmp_path):
-    # Only configurations without motor.s0 need scipy.optimize.  The lazy
-    # greybox.minimize alias, which perfbench traces by name, still
-    # resolves to scipy's function.
+    # The package never imports scipy.optimize (see the import guard
+    # below).  The lazy greybox.minimize alias, which perfbench traces by
+    # name, still resolves to scipy's function.
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text(CRITERION_12_CFG)
     argv = ["reproduce", "--config", str(cfg_path), "--seed", "1",
@@ -517,13 +517,31 @@ def test_cli_rejects_a_negative_seed(tmp_path):
                                   "diagnostics.pe_order_max = -5",
                                   "diagnostics.pad_factor = 0",
                                   "motor.X = nan",
-                                  "motor.Tj = -2"])
+                                  "motor.Tj = -2",
+                                  "scenario.external.variance = 0.001\n"
+                                  "scenario.external.bus = 99",
+                                  "analysis.end = 1.0",
+                                  "diagnostics.band_low_hz = 20",
+                                  # between the bins at 0 and 3.125 Hz
+                                  "diagnostics.band_low_hz = 1.0\n"
+                                  "diagnostics.band_high_hz = 2.0"])
 def test_reproduce_rejects_bad_ident_keys_before_any_stage(tmp_path, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(default_config_text() + "\n" + line + "\n")
     out = tmp_path / "out"
     rc = main(["reproduce", "--config", str(cfg_path), "--out", str(out)])
     assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_reproduce_rejects_a_config_without_the_slip_at_load(tmp_path,
+                                                              capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(CRITERION_12_CFG.replace("motor.s0 = 0.01\n", ""))
+    out = tmp_path / "out"
+    rc = main(["reproduce", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "missing required key 'motor.s0'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -778,3 +796,25 @@ def test_every_keyword_option_has_a_package_caller():
                            for call in calls.get(node.name, [])):
                     unset.append(f"{path.stem}.{node.name}.{param}")
     assert sorted(unset) == sorted(UNSET_OPTIONS)
+
+
+def test_only_the_perfbench_alias_imports_scipy_optimize():
+    """No module of the package imports ``scipy.optimize`` except the lazy
+    ``greybox.minimize`` alias in ``greybox.__getattr__``, which perfbench
+    traces by name."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "loadsysid").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+                       for n in names):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert found == ["greybox.__getattr__"]
