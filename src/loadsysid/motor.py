@@ -13,6 +13,7 @@ with time in seconds and all electrical quantities per-unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,9 @@ from loadsysid.errors import CaseValidationError
 def _check_constants(X, Xp, Td0p, Tj, s0):
     """Reject motor constants outside the model's domain; each check is
     written so that NaN fails it."""
+    if not all(map(math.isfinite, (X, Xp, Td0p, Tj, s0))):
+        raise CaseValidationError("motor constants must be finite, got "
+                                  f"{(X, Xp, Td0p, Tj, s0)}")
     if not X > Xp > 0.0:
         raise CaseValidationError(f"need X > Xp > 0, got X={X}, Xp={Xp}")
     if not (Td0p > 0.0 and Tj > 0.0):
@@ -57,8 +61,9 @@ class LoadParameters:
 
     def __post_init__(self):
         _check_constants(self.X, self.Xp, self.Td0p, self.Tj, self.s0)
-        if not self.V0 > 0.0:
-            raise CaseValidationError("operating voltage must be positive")
+        if not (0.0 < self.V0 < math.inf and math.isfinite(self.theta0)):
+            raise CaseValidationError("need 0 < V0 < inf and a finite theta0, "
+                                      f"got {self.V0}, {self.theta0}")
         e0 = emf_steady_state(self.X, self.Xp, self.Td0p, self.s0,
                               self.V0 * np.exp(1j * self.theta0))
         object.__setattr__(self, "Exp0", float(e0.real))

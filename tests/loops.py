@@ -11,7 +11,9 @@ simulator right-hand side solved on the whole network, which ``sim._rhs``
 replaces with the reduced network map, and ``simulate_loop`` is
 ``sim.simulate``'s step solved one substep at a time, which
 ``sim.simulate`` replaces with fixed-point sweeps over windows of
-substeps.  The frequency loops solve one frequency at a time:
+substeps; ``simulate_two_rows`` is those sweeps with two ``_rhs`` rows per
+step, which ``sim.simulate`` replaces with one row per distinct (state,
+held disturbance) pair.  The frequency loops solve one frequency at a time:
 ``reduce_to_load_loop`` eliminates everything but the motor bus from the
 full system of ``frequency_system``, which ``freq.reduce_to_load``
 replaces with one constant Kron reduction and one stacked solve.
@@ -332,17 +334,15 @@ def load_noise_frf_loop(params, omega, noise):
     return out
 
 
-def simulate_loop(case, eq, scenario):
-    """``sim.simulate``'s sampled (V, theta, P, Q) record, noise-free, from
-    the integrating-factor trapezoidal step solved one substep at a time,
-    with the remainder evaluated afresh at every step start.  A step whose
-    corrector does not converge in 25 iterations, or that leaves the slip
-    outside (0, 1), raises ``SimulationError`` at the step's end time."""
-    from loadsysid.sim import _noise_sequence, _rhs, linearize_system
+def _substep_problem(case, eq, scenario):
+    """What ``sim.simulate`` sets up before it steps: the substep and
+    sample counts, the per-substep disturbances with the value after the
+    record's end, the injection's bus index and direction, the Jacobian and
+    the step's weights."""
+    from loadsysid.sim import _noise_sequence, linearize_system
 
     dt = scenario.dt_integration
     n_sub = int(round(scenario.duration / dt))
-    n_per = scenario.substeps_per_sample
     e_int = np.zeros(n_sub + 1)
     xi_ext = np.zeros(n_sub + 1)
     ext_index, ext_dir = None, 1.0 + 0j
@@ -350,18 +350,33 @@ def simulate_loop(case, eq, scenario):
         if noise is not None and (noise.variance > 0 or noise.value is not None):
             seq[:-1] = _noise_sequence(np.random.default_rng(noise.seed), n_sub,
                                        dt, scenario.dt_sample, noise)
-    if scenario.external is not None:
-        ext_index = case.bus_index()[scenario.external.bus]
-        phi = math.radians(scenario.external.direction_deg)
+    external = scenario.external
+    if external is not None and (external.variance > 0
+                                 or external.value is not None):
+        ext_index = case.bus_index()[external.bus]
+        phi = math.radians(external.direction_deg)
         ext_dir = complex(math.cos(phi), math.sin(phi))
     jac = linearize_system(
         case, eq,
-        disturbance_bus=scenario.external.bus if scenario.external else None,
-        direction_deg=scenario.external.direction_deg if scenario.external else 0.0,
+        disturbance_bus=external.bus if external else None,
+        direction_deg=external.direction_deg if external else 0.0,
     ).a
     e_h, w0, w1s = van_loan(jac, dt)
     phi_b = w1s / dt
-    phi_a = w0 - phi_b
+    return (dt, n_sub, scenario.substeps_per_sample, e_int, xi_ext, ext_index,
+            ext_dir, jac, e_h, w0 - phi_b, phi_b)
+
+
+def simulate_loop(case, eq, scenario):
+    """``sim.simulate``'s sampled (V, theta, P, Q) record, noise-free, from
+    the integrating-factor trapezoidal step solved one substep at a time,
+    with the remainder evaluated afresh at every step start.  A step whose
+    corrector does not converge in 25 iterations, or that leaves the slip
+    outside (0, 1), raises ``SimulationError`` at the step's end time."""
+    from loadsysid.sim import _rhs
+
+    (dt, n_sub, n_per, e_int, xi_ext, ext_index, ext_dir, jac, e_h, phi_a,
+     phi_b) = _substep_problem(case, eq, scenario)
     z_eq = eq.equilibrium_state()
     p = eq.params
 
@@ -401,3 +416,77 @@ def simulate_loop(case, eq, scenario):
         if (k + 1) % n_per == 0:
             data.append(sample(z, remainder(z, e_int[k + 1], xi_ext[k + 1])[1]))
     return np.array(data)
+
+
+def simulate_two_rows(case, eq, scenario):
+    """``sim.simulate``'s window sweeps with two ``_rhs`` rows per step:
+    every sweep, the first included, stacks the start state and the end
+    state of each of the window's m steps, 2m rows, whether or not a row
+    repeats the (state, held disturbance) pair of another.  Returns the
+    noise-free sampled (V, theta, P, Q) record and the ``windows``,
+    ``sweeps`` and ``splits`` counters; fails as ``sim.simulate`` does."""
+    from loadsysid.greybox import BLOCK, lti_operator, propagate_from
+    from loadsysid.sim import CORRECTOR_ITERATIONS, SWEEPS, WINDOW, _rhs
+
+    (dt, n_sub, n_per, e_int, xi_ext, ext_index, ext_dir, jac, e_h, phi_a,
+     phi_b) = _substep_problem(case, eq, scenario)
+    nx = jac.shape[0]
+    op = lti_operator(e_h, np.eye(nx), e_h, np.eye(nx), BLOCK)
+    z_eq = eq.equilibrium_state()
+    n_samples = n_sub // n_per + 1
+    samples = np.empty((n_samples, nx))
+    samples[0] = z_eq
+    x0 = np.zeros(nx)
+    k = 0
+    size = WINDOW
+    windows = sweeps = splits = 0
+    while k < n_sub:
+        m = min(size, n_sub - k)
+        e2 = np.tile(e_int[k:k + m], 2)
+        xi2 = np.tile(xi_ext[k:k + m], 2)
+        x = np.broadcast_to(x0, (m, nx))
+        for _ in range(SWEEPS if m > 1 else 1 + CORRECTOR_ITERATIONS):
+            xs = np.concatenate((x0[None], x[:-1], x))
+            zs = z_eq + xs
+            g = _rhs(eq, zs, e2, xi2, ext_index, ext_dir)[0] - xs @ jac.T
+            f = g[:m] @ phi_a.T + g[m:] @ phi_b.T
+            x_new = propagate_from(op, x0, f)
+            sweeps += 1
+            done = (abs(x_new - x).max(axis=1)
+                    < 1e-13 * (1.0 + abs(zs[m:]).max(axis=1)))
+            x = x_new
+            if done.all():
+                break
+        else:
+            if m == 1:
+                raise SimulationError(
+                    f"corrector did not converge at t={(k + 1) * dt:.4f}s",
+                    t=(k + 1) * dt)
+            m = int(done.argmin())
+            splits += 1
+        size = min(WINDOW, max(1, 2 * m))
+        if m == 0:
+            continue
+        slip = z_eq[-1] + x[:m, -1]
+        bad = np.flatnonzero(~((0.0 < slip) & (slip < 1.0)))
+        if bad.size:
+            t = (k + 1 + int(bad[0])) * dt
+            raise SimulationError(f"slip left (0, 1) at t={t:.4f}s", t=t)
+        first = -(-(k + 1) // n_per)
+        rows = np.arange(first * n_per, k + m + 1, n_per)
+        samples[first:first + len(rows)] = z_eq + x[rows - k - 1]
+        x0 = x[m - 1]
+        windows += 1
+        k += m
+    v = _rhs(eq, samples, e_int[::n_per], xi_ext[::n_per], ext_index,
+             ext_dir)[1]
+    p = eq.params
+    v6 = v[:, -1]
+    exy = samples[:, -3] + 1j * samples[:, -2]
+    data = np.column_stack((
+        abs(v6),
+        np.angle(v6),
+        (exy.real * v6.imag - exy.imag * v6.real) / p.Xp,
+        (abs(v6) ** 2 - v6.real * exy.real - v6.imag * exy.imag) / p.Xp,
+    ))
+    return data, {"windows": windows, "sweeps": sweeps, "splits": splits}

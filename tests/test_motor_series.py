@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsysid.errors import CaseValidationError, ToolkitError
-from loadsysid.motor import LoadParameters, emf_steady_state, motor_pq
+from loadsysid.motor import (LoadParameters, MotorSpec, emf_steady_state,
+                             motor_pq)
 from loadsysid.series import MeasurementSeries, detrend
 
 
@@ -31,6 +32,24 @@ def test_parameter_invariants():
     for name in ("X", "Xp", "Td0p", "Tj", "s0", "V0"):
         with pytest.raises(CaseValidationError):
             _params(**{name: float("nan")})
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("X", "Xp", "Td0p", "Tj", "s0", "V0", "theta0")),
+       value=st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+       scale=st.floats(1.0, 1e3))
+def test_non_finite_fields_are_rejected(name, value, scale):
+    """A NaN or infinite field fails as invalid parameters, in the motor
+    spec as in the identified parameters, however large the finite ones."""
+    base = dict(X=3.679 * scale, Xp=0.296, Td0p=0.576 * scale,
+                Tj=2.0 * scale, s0=0.01)
+    with pytest.raises(CaseValidationError):
+        LoadParameters(**{**base, name: value})
+    if name in base:
+        with pytest.raises(CaseValidationError):
+            MotorSpec(**{**base, name: value})
+    LoadParameters(**base)
+    MotorSpec(**base)
 
 
 def test_steady_state_power_matches_current_formula():

@@ -25,7 +25,8 @@ from loadsysid.sim import (
 from loadsysid.constants import OMEGA_S
 
 from conftest import TRUE_MOTOR
-from loops import linear_response_loop, rhs_full_network, simulate_loop
+from loops import (linear_response_loop, rhs_full_network, simulate_loop,
+                   simulate_two_rows)
 
 
 def test_equilibrium_matches_reference_values(wscc_eq):
@@ -103,6 +104,22 @@ def test_zero_noise_hold(wscc_case, wscc_eq):
 def test_scenario_takes_four_measurement_variances(mvar):
     with pytest.raises(ToolkitError):
         Scenario(duration=1.0, measurement_variance=mvar)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [
+    lambda b: Scenario(1.0, internal=NoiseWindow(b, 0.0, 1.0)),
+    lambda b: Scenario(1.0, external=ExternalNoise(b, 0.0, 1.0, bus=8)),
+    lambda b: Scenario(1.0, measurement_variance=(0.0, b, 0.0, 0.0)),
+    lambda b: Scenario(1.0, internal=NoiseWindow(1e-3, 0.0, 1.0, hold_dt=b)),
+    lambda b: Scenario(1.0, external=ExternalNoise(1e-3, 0.0, 1.0, hold_dt=b,
+                                                   bus=8)),
+    lambda b: Scenario(1.0, dt_sample=b),
+], ids=["internal-variance", "external-variance", "measurement-variance",
+        "internal-hold", "external-hold", "dt-sample"])
+def test_scenario_rejects_non_finite_values(make, bad):
+    with pytest.raises(ToolkitError):
+        make(bad)
 
 
 def test_simulation_determinism(wscc_case, wscc_eq):
@@ -316,7 +333,7 @@ def test_simulate_splits_windows_through_a_large_step(wscc_case, wscc_eq):
     assert np.all(np.abs(series.data - want).max(axis=0) <= 1e-12 * excursion)
 
 
-def test_simulate_solver_counters_repeat(wscc_case, wscc_eq):
+def test_simulate_solver_counters_repeat(wscc_case, wscc_eq, monkeypatch):
     sc = Scenario(duration=2.0,
                   internal=NoiseWindow(0.002, 0.5, 2.0, seed=1, hold_dt=0.01))
     keys = ("windows", "sweeps", "splits", "rhs_rows")
@@ -325,8 +342,78 @@ def test_simulate_solver_counters_repeat(wscc_case, wscc_eq):
     # A small-disturbance record needs no split.
     n_sub = int(round(sc.duration / sc.dt_integration))
     assert a["splits"] == 0 and a["windows"] == n_sub // sim.WINDOW
-    assert a["rhs_rows"] == (2 * sim.WINDOW * a["sweeps"]
-                             + n_sub // sc.substeps_per_sample + 1)
+    # The rows passed to ``_rhs``.  A window whose held value changes c
+    # times inside it gets a first sweep of c + 2 rows (one per held value,
+    # and the last step's end row again), then sweeps of its WINDOW + 1
+    # states and the end row of each change; the samples come last.
+    rows = []
+    rhs = sim._rhs
+
+    def counted(eq, z, *args):
+        if np.ndim(z) == 2:
+            rows.append(len(z))
+        return rhs(eq, z, *args)
+
+    monkeypatch.setattr(sim, "_rhs", counted)
+    simulate(wscc_case, wscc_eq, sc)
+    e = sim._noise_sequence(np.random.default_rng(1), n_sub,
+                            sc.dt_integration, sc.dt_sample, sc.internal)
+    changes = (np.diff(e.reshape(-1, sim.WINDOW)) != 0).sum(axis=1)
+    assert changes.tolist() == [0, 30, 39, 39, 39]
+    i, window_sweeps = 0, []
+    for c in changes:
+        assert rows[i] == c + 2
+        n = 1
+        while rows[i + n] == sim.WINDOW + 1 + c:
+            n += 1
+        window_sweeps.append(n)
+        i += n
+    n_samples = n_sub // sc.substeps_per_sample + 1
+    assert rows[i:] == [n_samples]
+    assert sum(window_sweeps) == a["sweeps"]
+    assert a["rhs_rows"] == n_samples + sum(
+        c + 2 + (n - 1) * (sim.WINDOW + 1 + c)
+        for c, n in zip(changes, window_sweeps))
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.5, 2.0, seed=3,
+                                                hold_dt=0.01)),
+    Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.5, 2.0, seed=5)),
+    Scenario(duration=2.0, internal=NoiseWindow(0.002, 0.3105, 0.8115, seed=7,
+                                                hold_dt=0.0025)),
+    Scenario(duration=2.0, external=ExternalNoise(0.002, 0.5, 2.0, seed=4,
+                                                  hold_dt=0.01, bus=8)),
+    Scenario(duration=2.0, external=ExternalNoise(0.002, 0.5, 2.0, seed=8,
+                                                  bus=8)),
+    Scenario(duration=2.0, internal=NoiseWindow(0.0, 0.2, 2.0, value=1.0)),
+    # The 20 s reference record: its windows before the noise starts at
+    # 1.5 s hold one value, so their first sweeps stack the fewest rows.
+    replace(load_config(default_config_text()).scenario,
+            measurement_variance=(0.0, 0.0, 0.0, 0.0)),
+], ids=["torque-hold-10ms", "hold-dt", "noise-mid-window", "bus8-hold-10ms",
+        "bus8-hold-dt", "split-through", "reference"])
+def test_simulate_equals_two_rows_per_step(wscc_case, wscc_eq, scenario):
+    """Evaluating each (state, held disturbance) pair of a sweep once
+    leaves the record and the solver's path bit for bit as they were with
+    the start and end row of every step stacked."""
+    series = simulate(wscc_case, wscc_eq, scenario)
+    want, counters = simulate_two_rows(wscc_case, wscc_eq, scenario)
+    assert np.array_equal(series.data, want)
+    assert {k: series.meta[k] for k in counters} == counters
+
+
+@pytest.mark.parametrize("value", [2.0, 5.0, -2.0, -5.0])
+def test_simulate_fails_where_two_rows_per_step_fail(wscc_case, wscc_eq,
+                                                     value):
+    sc = Scenario(duration=2.0, internal=NoiseWindow(0.0, 0.2, 2.0,
+                                                     value=value))
+    with pytest.raises(SimulationError) as oracle:
+        simulate_two_rows(wscc_case, wscc_eq, sc)
+    with pytest.raises(SimulationError) as got:
+        simulate(wscc_case, wscc_eq, sc)
+    assert got.value.t == oracle.value.t
+    assert str(got.value) == str(oracle.value)
 
 
 @pytest.mark.parametrize("dt, bound", [(0.001, 3.1e-6), (0.0025, 2.5e-5)])
