@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 # One BLAS thread unless the caller set the variables, before pipeline loads
-# numpy: numpy and scipy each run their own OpenBLAS pool, and at the default
-# count the two fight over the cores (11 s against 1.6-1.9 s for the
-# reference reproduce on two cores).  The matrices gain nothing from threads.
+# numpy.  The matrices gain nothing from threads, and at two the second
+# OpenBLAS thread spins between the small products: the reference reproduce
+# on two cores took 1.5-2.0 s and 2.9-3.8 s of CPU against 1.3-1.6 s and the
+# same CPU at one thread.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
@@ -210,6 +209,54 @@ def assemble_continuous(params, noise):
                              g=noise_channel_matrices(noise, params))
 
 
+# Padé-13 coefficients b_0..b_13, and the 1-norm up to which the unscaled
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005).  Each row of ``_PADE_SUMS`` weighs [I, A^2, A^4, A^6]:
+# the odd part U = A (A^6 U_hi + U_lo), the even part V = A^6 V_hi + V_lo.
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0,
+      670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+      16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+_PADE_SUMS = np.array([_B[1:8:2], (0.0,) + _B[9::2],
+                       _B[0:7:2], (0.0,) + _B[8:13:2]])
+
+
+def _expm(m):
+    """e^M of each slice of a stack (k, n, n) by Padé-13 scaling and
+    squaring.
+
+    Each slice is scaled by its own power of two so that its 1-norm is at
+    most theta_13, and only the slices that still need a squaring take
+    part in each one, so no slice's bits depend on the rest of the stack.
+    A non-finite slice gives NaN without touching the others.
+    """
+    norm = np.abs(m).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norm)
+    if not finite.all():
+        m = np.where(finite[:, None, None], m, 0.0)
+        norm = np.where(finite, norm, 0.0)
+    # s = ceil(log2(|M|_1 / theta_13)), at least 0, read off the exponent.
+    frac, exp = np.frexp(norm / _THETA13)
+    s = np.maximum(exp - (frac == 0.5), 0)
+    a = np.ldexp(m, -s[:, None, None])
+    powers = np.empty((4,) + m.shape)
+    powers[0] = np.eye(m.shape[-1])
+    a2 = np.matmul(a, a, out=powers[1])
+    a4 = np.matmul(a2, a2, out=powers[2])
+    a6 = np.matmul(a4, a2, out=powers[3])
+    u_lo, u_hi, v_lo, v_hi = (_PADE_SUMS @ powers.reshape(4, -1)).reshape(
+        powers.shape)
+    u = a @ (a6 @ u_hi + u_lo)
+    v = a6 @ v_hi + v_lo
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    r[~finite] = np.nan
+    return r
+
+
 def van_loan(a, ts):
     """Exact hold weights of x' = A x + f(t) over one period ``ts``.
 
@@ -228,7 +275,7 @@ def van_loan(a, ts):
     m[..., :nx, :nx] = a * ts
     m[..., :nx, nx:2 * nx] = eye * ts
     m[..., nx:2 * nx, 2 * nx:] = eye * ts
-    phi = expm(m)
+    phi = _expm(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape)
     return (phi[..., :nx, :nx], phi[..., :nx, nx:2 * nx],
             phi[..., :nx, 2 * nx:])
 
@@ -464,15 +511,24 @@ def propagate_from(op, x0, w):
     wb = np.zeros(w.shape[:-2] + (nb, blk * nw))
     wb.reshape(w.shape[:-2] + (nb * blk, nw))[..., :n, :] = w
     out = wb @ _t(toeplitz)
-    # Block index first, so that each step of the loop reads one slab.
-    drive = np.moveaxis(wb @ _t(reach), -2, 0)[..., None]
+    drive = wb @ _t(reach)
     nx = x0.shape[-1]
-    starts = np.empty(drive.shape[:1] + np.broadcast_shapes(
-        drive.shape[1:-2], a_blk.shape[:-2], x0.shape[:-1]) + (nx, 1))
+    if drive.ndim == 2 and x0.ndim == 1:
+        # One system and one record: the block index is already first.
+        starts = np.empty((nb, nx, 1))
+    else:
+        # Block index first, so that each step of the loop reads one slab.
+        drive = np.moveaxis(drive, -2, 0)
+        starts = np.empty(drive.shape[:1] + np.broadcast_shapes(
+            drive.shape[1:-1], a_blk.shape[:-2], x0.shape[:-1]) + (nx, 1))
+    drive = drive[..., None]
     starts[0] = x0[..., None]
     for j in range(nb - 1):
         starts[j + 1] = a_blk @ starts[j] + drive[j]
-    out = out + np.moveaxis(starts[..., 0], 0, -2) @ _t(free)
+    starts = starts[..., 0]
+    if starts.ndim > 2:
+        starts = np.moveaxis(starts, 0, -2)
+    out = out + starts @ _t(free)
     return out.reshape(out.shape[:-2] + (nb * blk, ny))[..., :n, :]
 
 

@@ -77,6 +77,12 @@ class Scenario:
 
     def __post_init__(self):
         # Each check is written so that NaN and infinity fail it.
+        if not 0.0 <= self.duration < math.inf:
+            raise ToolkitError("duration must be non-negative and finite")
+        if not (0.0 < self.dt_integration < math.inf
+                and 0.0 < self.dt_sample < math.inf):
+            raise ToolkitError("dt_integration and dt_sample must be "
+                               "positive and finite")
         ratio = self.dt_sample / self.dt_integration
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ToolkitError(
@@ -92,6 +98,8 @@ class Scenario:
             if not 0.0 <= noise.variance < math.inf:
                 raise ToolkitError(
                     "noise variance must be non-negative and finite")
+            if noise.value is not None and not math.isfinite(noise.value):
+                raise ToolkitError("noise pulse value must be finite")
             if not (0.0 <= noise.start <= noise.end <= self.duration + 1e-12):
                 raise ToolkitError("noise window must lie within [0, duration]")
             hold = noise.hold_dt if noise.hold_dt is not None else self.dt_integration

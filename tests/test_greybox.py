@@ -1,11 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadsysid.constants import OMEGA_S
 from loadsysid.errors import (
+    CaseValidationError,
     IdentificationError,
     RiccatiError,
     ToolkitError,
@@ -20,6 +23,8 @@ from loadsysid.greybox import (
     GreyBoxContinuous,
     GreyBoxDiscrete,
     NoiseConfig,
+    _expm,
+    _scaled_box,
     _scoring,
     _series_arrays,
     assemble_continuous,
@@ -39,6 +44,7 @@ from loadsysid.greybox import (
     solve_dare,
 )
 from loadsysid.motor import LoadParameters
+from loadsysid.sim import linearize_system
 
 from loops import (
     dare_step,
@@ -202,6 +208,109 @@ def test_zoh_rejects_bad_period():
         discretize_zoh(cont, 0.0)
     with pytest.raises(ToolkitError):
         discretize_zoh(cont, -0.1)
+
+
+# ------------------------------------------------------------- exponential
+
+def _van_loan_block(a, ts):
+    """The triple block matrix whose exponential ``van_loan`` takes."""
+    nx = a.shape[-1]
+    m = np.zeros(a.shape[:-2] + (3 * nx, 3 * nx))
+    m[..., :nx, :nx] = a * ts
+    m[..., :nx, nx:2 * nx] = np.eye(nx) * ts
+    m[..., nx:2 * nx, 2 * nx:] = np.eye(nx) * ts
+    return m
+
+
+def _check_expm(stack, tol):
+    """``_expm`` of a stack against scipy's, slice by slice within ``tol``
+    of the slice's largest entry, with no floating-point warning, and each
+    slice bit for bit its stack-of-one result."""
+    from scipy.linalg import expm
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _expm(stack)
+        alone = [_expm(m[None])[0] for m in stack]
+    for m, got, one in zip(stack, out, alone):
+        ref = expm(m)
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+        assert np.array_equal(got, one)
+
+
+def _squarings(m):
+    """The number of squarings ``_expm`` takes for ``m``."""
+    return max(0, int(np.ceil(np.log2(np.abs(m).sum(axis=0).max()
+                                      / 5.371920351148152))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=1, max_value=12))
+def test_expm_of_van_loan_blocks_matches_scipy(seed, k):
+    # Candidates drawn log-uniformly across identify's search box around
+    # the truth, as a chain stacks them: up to five squarings at its small
+    # reactances and time constants.
+    rng = np.random.default_rng(seed)
+    scale, lo, hi = _scaled_box(_params())
+    blocks = []
+    for x in scale * np.exp(rng.uniform(np.log(lo), np.log(hi),
+                                        size=(k, len(FREE)))):
+        try:
+            p = replace(_params(), **dict(zip(FREE, x)))
+        except CaseValidationError:
+            continue
+        blocks.append(_van_loan_block(
+            assemble_continuous(p, NoiseConfig()).a, 0.01))
+    if blocks:
+        _check_expm(np.array(blocks), 1e-13)
+
+
+def test_expm_of_the_simulators_block_matches_scipy(wscc_case, wscc_eq):
+    jac = linearize_system(wscc_case, wscc_eq).a
+    block = _van_loan_block(jac, 0.0005)
+    assert block.shape == (21, 21)
+    _check_expm(np.array([block, 40.0 * block]), 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31),
+       st.sampled_from([9, 21]),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1,
+                max_size=6))
+def test_expm_of_gaussian_blocks_matches_scipy(seed, n, log_norms):
+    # The package's block sizes (a candidate's and the simulator's), at
+    # 1-norms from 1e-3 to 1e3, so one stack mixes slices without a
+    # squaring and slices with up to eight.
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((len(log_norms), n, n))
+    stack *= (10.0 ** np.array(log_norms)
+              / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+    # e^M stays finite.
+    assume(np.all(np.linalg.eigvals(stack).real < 500.0))
+    _check_expm(stack, 1e-10)
+
+
+def test_expm_stack_mixes_no_squaring_with_many():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 9, 9))
+    stack *= (np.array([0.5, 200.0, 1e-3, 60.0])
+              / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+    assert [_squarings(m) for m in stack] == [0, 6, 0, 4]
+    _check_expm(stack, 1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_non_finite_slice_leaves_the_others(bad):
+    rng = np.random.default_rng(5)
+    stack = _van_loan_block(rng.standard_normal((3, 3, 3)), 0.01)
+    clean = _expm(stack)
+    stack[1, 0, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _expm(stack)
+    assert not np.any(np.isfinite(out[1]))
+    assert np.array_equal(out[[0, 2]], clean[[0, 2]])
 
 
 def test_discrete_stepping_matches_continuous_integration():

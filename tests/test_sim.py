@@ -122,6 +122,30 @@ def test_scenario_rejects_non_finite_values(make, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_scenario_rejects_a_bad_duration(bad):
+    with pytest.raises(ToolkitError):
+        Scenario(duration=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0005, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["dt_integration", "dt_sample"])
+def test_scenario_rejects_a_bad_step(field, bad):
+    with pytest.raises(ToolkitError):
+        Scenario(duration=1.0, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda b: Scenario(1.0, internal=NoiseWindow(0.0, 0.0, 1.0, value=b)),
+    lambda b: Scenario(1.0, external=ExternalNoise(0.0, 0.0, 1.0, value=b,
+                                                   bus=8)),
+], ids=["internal", "external"])
+def test_scenario_rejects_a_non_finite_pulse(make, bad):
+    with pytest.raises(ToolkitError):
+        make(bad)
+
+
 def test_simulation_determinism(wscc_case, wscc_eq):
     sc = Scenario(duration=3.0,
                   internal=NoiseWindow(0.002, 1.0, 3.0, seed=11))
